@@ -35,6 +35,13 @@ def _frac_str(x) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _parse_divisor(text: str) -> DivisorClass:
     parts = text.split(",")
     if len(parts) != 2:
@@ -334,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--v", required=True)
     q.add_argument("--w", required=True)
     q.add_argument("--H0", required=True, help="ample divisor a,b")
-    q.add_argument("--emit-samples", type=int, default=0, dest="emit_samples")
+    q.add_argument("--emit-samples", type=_nonnegative_int, default=0, dest="emit_samples")
     add_json(q)
     q.set_defaults(func=_cmd_wall_slice)
 

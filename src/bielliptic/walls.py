@@ -160,29 +160,47 @@ def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
     return sorted(out, key=MukaiVector.as_tuple)
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quot, rem = divmod(a, b)
+        a, b = b, rem
+        x0, x1 = x1, x0 - quot * x1
+        y0, y1 = y1, y0 - quot * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
+
+
 def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
-    """All lattice points p with q(p) >= 0 and 1 <= <v, p> <= pairing_cap."""
+    """All lattice points p with q(p) >= 0 and 1 <= <v, p> <= pairing_cap.
+
+    Writing <v, (x, y)> = cA*x + cB*y with g = gcd(cA, cB), the line
+    <v, p> = k holds lattice points only when g | k.  For k = j*g they are
+    j*e + t*n, where cA*e_x + cB*e_y = g (extended gcd) and n = (cB, -cA)/g
+    spans v's orthogonal complement, so q(n) < 0.  q(j*e + t*n) is then a
+    concave quadratic in t, whose integer interval of nonnegative values
+    comes from isqrt exactly.  The cost is O(pairing_cap / g + #points).
+    """
     vxy = H.coords(H.v)
-    v2 = H.q(vxy)
-    # rational orthogonal direction: w0 = v2 * e - <v, e> * v
-    for e in ((1, 0), (0, 1)):
-        w0 = (v2 * e[0] - H.pair(vxy, e) * vxy[0], v2 * e[1] - H.pair(vxy, e) * vxy[1])
-        if w0 != (0, 0):
-            break
-    w02 = H.q(w0)
-    assert w02 < 0
+    cA, cB = H.pair(vxy, (1, 0)), H.pair(vxy, (0, 1))
+    g, ex, ey = _ext_gcd(cA, cB)
+    n = (cB // g, -cA // g)
+    neg_n2 = -H.q(n)
+    assert neg_n2 > 0
     found = []
-    for k in range(1, pairing_cap + 1):
-        # p = (k/v2) v + (m/w02) w0 with q(p) = k^2/v2 + m^2/w02 >= 0
-        mbound = isqrt((k * k * (-w02)) // v2)
-        for m in range(-mbound, mbound + 1):
-            num_x = k * w02 * vxy[0] + m * v2 * w0[0]
-            num_y = k * w02 * vxy[1] + m * v2 * w0[1]
-            den = v2 * w02
-            if num_x % den or num_y % den:
-                continue
-            p = (num_x // den, num_y // den)
-            if H.q(p) >= 0 and H.pair(vxy, p) == k:
+    for j in range(1, pairing_cap // g + 1):
+        base = (j * ex, j * ey)
+        # q(base + t*n) = q(base) + 2*b*t - neg_n2*t^2 with b = <base, n>
+        b = H.pair(base, n)
+        disc = b * b + neg_n2 * H.q(base)
+        if disc < 0:
+            continue
+        s = isqrt(disc)
+        for t in range(-((s - b) // neg_n2), (b + s) // neg_n2 + 1):
+            p = (base[0] + t * n[0], base[1] + t * n[1])
+            if H.q(p) >= 0:
                 found.append(p)
     return sorted(set(found))
 
@@ -194,30 +212,34 @@ def enumerate_decompositions(
 
     Each part satisfies part^2 >= 0 and <v, part> > 0; the output order is
     deterministic (parts sorted inside a multiset, multisets sorted).
+    Parts are chosen in candidate order; the last one is looked up from
+    the remainder, and a branch stops once the remainder leaves the closed
+    positive cone, which holds every sum of parts.
     """
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
     vxy = H.coords(H.v)
     v2 = H.q(vxy)
     candidates = _positive_classes(H, v2 - 1)
-    by_pairing: dict[tuple[int, int], int] = {
-        p: H.pair(vxy, p) for p in candidates
-    }
-    results: set[tuple[tuple[int, int, int, int], ...]] = set()
+    index = {p: idx for idx, p in enumerate(candidates)}
+    pairings = [H.pair(vxy, p) for p in candidates]
+    results: list[tuple[tuple[int, int, int, int], ...]] = []
 
     def extend(start: int, remaining: tuple[int, int], pairing_left: int, chosen: list):
-        n = len(chosen)
-        if n >= 2 and remaining == (0, 0):
-            results.add(tuple(sorted(H.from_coords(*p).as_tuple() for p in chosen)))
-        if n >= max_parts:
+        if chosen and index.get(remaining, -1) >= start:
+            parts = chosen + [remaining]
+            results.append(tuple(sorted(H.from_coords(*p).as_tuple() for p in parts)))
+        if len(chosen) + 2 > max_parts:
             return
         for idx in range(start, len(candidates)):
-            p = candidates[idx]
-            k = by_pairing[p]
-            needed = max(0, 2 - (n + 1))
-            if k > pairing_left - needed:
+            k = pairings[idx]
+            if k >= pairing_left:
                 continue
-            extend(idx, (remaining[0] - p[0], remaining[1] - p[1]), pairing_left - k, chosen + [p])
+            p = candidates[idx]
+            rest = (remaining[0] - p[0], remaining[1] - p[1])
+            if H.q(rest) < 0:
+                continue
+            extend(idx, rest, pairing_left - k, chosen + [p])
 
     extend(0, vxy, v2, [])
     return [

@@ -108,7 +108,8 @@ def test_criterion_1_reduced_form_table():
         detail += (
             f"; e.g. type {sample_failure[0]}: {sample_failure[1]} -> "
             f"{sample_failure[2]} (the irreducible type-6 residue class "
-            "3 | r, (a, b) = +-(1, 2) mod 3; see decisions ledger)"
+            "3 | r, (a, b) = +-(1, 2) mod 3; see README, \"Known limitation: one "
+            "irreducible residue class on type 6\")"
         )
     _report(1, "reduced-form table reproduction, 1000 vectors per type", ok, detail)
 

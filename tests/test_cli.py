@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
@@ -8,7 +10,7 @@ from bielliptic.cli import run_command
 from bielliptic.lattice import MukaiVector, square
 from bielliptic.transforms import TransformLog
 
-from conftest import primitive_vectors
+from conftest import FIXTURES, primitive_vectors
 
 
 def run(capsys, *argv):
@@ -94,6 +96,16 @@ class TestWall:
         assert code == 3
         assert "collinear" in err
 
+    def test_slice_rejects_negative_samples(self, capsys):
+        code, out, err = run(
+            capsys,
+            "wall", "slice", "--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,-1",
+            "--H0", "1,1", "--emit-samples", "-3", "--json",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--emit-samples" in err
+
     def test_slice_locus(self, capsys):
         payload = run_json(
             capsys,
@@ -142,3 +154,15 @@ class TestAtlas:
         assert named and "HilbertChowDivisorial" in named[0]["labels"]
         for row in rows:
             assert square(MukaiVector.parse(row["v"])) > 0
+
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_golden_digests(self, capsys, t):
+        with open(FIXTURES.parent / "bench" / "golden.json") as fh:
+            golden = json.load(fh)["atlas"]["0,0,0,1;1,0,0,0"]
+        code, out, err = run(
+            capsys,
+            "atlas", "--type", str(t), "--bounds", "3,2,2,3",
+            "--w", "0,0,0,1", "--w", "1,0,0,0",
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[str(t)]

@@ -1,12 +1,13 @@
 import json
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 
-from bielliptic.errors import PreconditionError
-from bielliptic.lattice import MukaiVector
+from bielliptic.errors import NotHyperbolicError, PreconditionError
+from bielliptic.lattice import MukaiVector, square
 from bielliptic.oracle import EqualityCase, enumerate_equality_cases, min_codim_oracle
-from bielliptic.walls import classify_wall, saturate_lattice
+from bielliptic.walls import HILBERT_CHOW, classify_wall, saturate_lattice
 
 from conftest import FIXTURES
 from test_walls import build_instance, raw_instances
@@ -91,3 +92,26 @@ class TestCodimOracle:
         assert min_codim_oracle(H) == c.codim_bound
         if c.totally_semistable:
             assert min_codim_oracle(H) == 0
+
+    def test_agrees_with_classifier_at_large_square(self):
+        rng = random.Random(2024)
+        found = 0
+        while found < 40:
+            v = MukaiVector.of(*(rng.randint(-7, 7) for _ in range(4)))
+            if not 81 <= square(v) <= 120:
+                continue
+            w = MukaiVector.of(*(rng.randint(-3, 3) for _ in range(4)))
+            try:
+                H = saturate_lattice(rng.randint(1, 7), v, w)
+            except (PreconditionError, NotHyperbolicError):
+                continue
+            found += 1
+            assert classify_wall(H).codim_bound == min_codim_oracle(H), (v.text(), w.text())
+
+    @pytest.mark.parametrize("n", [50, 60])
+    def test_hilbert_chow_at_large_square(self, n):
+        H = saturate_lattice(1, MukaiVector.of(1, 0, 0, -n), MukaiVector.of(0, 0, 0, 1))
+        c = classify_wall(H)
+        assert c.labels == frozenset({HILBERT_CHOW})
+        assert c.codim_bound == 0
+        assert min_codim_oracle(H) == 0

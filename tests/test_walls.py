@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
@@ -14,6 +15,7 @@ from bielliptic.walls import (
     INDETERMINATE,
     NO_WALL,
     P1_FIBRATION,
+    _positive_classes,
     approximate_isotropic_full_l,
     classify_wall,
     enumerate_decompositions,
@@ -122,6 +124,55 @@ class TestIsotropicRays:
                 s = Fraction(px * c2[1] - py * c2[0], det)
                 u = Fraction(c1[0] * py - c1[1] * px, det)
                 assert s >= 0 and u >= 0
+
+
+wide_instances = st.tuples(
+    surface_types,
+    st.tuples(st.integers(1, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+)
+
+
+def box_scan_positive_classes(H, cap):
+    """Every p with q(p) >= 0 and 1 <= <v, p> <= cap, by scanning a box.
+
+    M(p) = 2 <v, p>^2 - v^2 q(p) is positive definite (v^2 on v, -v^2 q on
+    v's orthogonal complement, no cross term), and M(p) <= 2 cap^2 on the
+    wanted set, so |x|^2 <= 2 cap^2 M(e2) / det M and likewise for y.
+    """
+    vxy = H.coords(H.v)
+    v2 = H.q(vxy)
+
+    def M(p):
+        return 2 * H.pair(vxy, p) ** 2 - v2 * H.q(p)
+
+    a, c = M((1, 0)), M((0, 1))
+    b = (M((1, 1)) - a - c) // 2
+    det = a * c - b * b
+    assert a > 0 and det > 0
+    bx = isqrt(2 * cap * cap * c // det) + 1
+    by = isqrt(2 * cap * cap * a // det) + 1
+    return [
+        (x, y)
+        for x in range(-bx, bx + 1)
+        for y in range(-by, by + 1)
+        if H.q((x, y)) >= 0 and 1 <= H.pair(vxy, (x, y)) <= cap
+    ]
+
+
+class TestPositiveClasses:
+    @given(wide_instances, st.integers(1, 120))
+    @example((1, (1, 0, 0, -50), (0, 0, 0, 1)), 120)
+    @example((7, (-4, -6, -5, 5), (3, 1, 2, 0)), 37)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_box_scan(self, raw, cap):
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        v2 = square(H.v)
+        assume(v2 <= 100)
+        for c in (v2 - 1, min(cap, v2)):
+            assert _positive_classes(H, c) == box_scan_positive_classes(H, c)
 
 
 class TestDecompositions:
