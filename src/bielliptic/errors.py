@@ -9,6 +9,10 @@ class PreconditionError(BiellipticError):
     """An operation was called on input violating its stated precondition."""
 
 
+class ReductionBudgetError(PreconditionError):
+    """A reduction ran out of its round budget without reaching a row pattern."""
+
+
 class InvalidSurfaceError(PreconditionError):
     """Surface type index outside 1..7."""
 

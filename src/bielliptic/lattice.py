@@ -28,65 +28,61 @@ class DivisorClass:
         """D^2 = 2ab, always even."""
         return 2 * self.a * self.b
 
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        return DivisorClass(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-self.a, -self.b)
-
-    def __rmul__(self, n: int) -> "DivisorClass":
-        return DivisorClass(n * self.a, n * self.b)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
 
 ZERO_DIVISOR = DivisorClass(0, 0)
 A0 = DivisorClass(1, 0)
 B0 = DivisorClass(0, 1)
 
 
-@dataclass(frozen=True)
 class MukaiVector:
-    """Integral Mukai vector (r, c1, s) = (rank, first Chern class, ch2)."""
+    """Integral Mukai vector (r, a*A0 + b*B0, s) = (rank, c1, ch2 term).
 
-    r: int
-    c1: DivisorClass
-    s: int
+    A flat value of four ints.  Instances are immutable by convention:
+    nothing assigns to r, a, b or s after construction, which equality and
+    hashing rely on.
+    """
+
+    __slots__ = ("r", "a", "b", "s")
+
+    def __init__(self, r: int, a: int, b: int, s: int):
+        self.r = r
+        self.a = a
+        self.b = b
+        self.s = s
 
     @classmethod
     def of(cls, r: int, a: int, b: int, s: int) -> "MukaiVector":
-        return cls(r, DivisorClass(a, b), s)
+        return cls(r, a, b, s)
 
-    @property
-    def a(self) -> int:
-        return self.c1.a
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.r == other.r and self.a == other.a and self.b == other.b and self.s == other.s
 
-    @property
-    def b(self) -> int:
-        return self.c1.b
+    def __hash__(self) -> int:
+        return hash((self.r, self.a, self.b, self.s))
+
+    def __repr__(self) -> str:
+        return f"MukaiVector({self.r}, {self.a}, {self.b}, {self.s})"
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.r, self.c1.a, self.c1.b, self.s)
+        return (self.r, self.a, self.b, self.s)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r + other.r, self.c1 + other.c1, self.s + other.s)
+        return MukaiVector(self.r + other.r, self.a + other.a, self.b + other.b, self.s + other.s)
 
     def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, self.c1 - other.c1, self.s - other.s)
+        return MukaiVector(self.r - other.r, self.a - other.a, self.b - other.b, self.s - other.s)
 
     def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, -self.c1, -self.s)
+        return MukaiVector(-self.r, -self.a, -self.b, -self.s)
 
     def __rmul__(self, n: int) -> "MukaiVector":
-        return MukaiVector(n * self.r, n * self.c1, n * self.s)
+        return MukaiVector(n * self.r, n * self.a, n * self.b, n * self.s)
 
     def content(self) -> int:
         """gcd of the four coordinates (0 for the zero vector)."""
-        return gcd(gcd(self.r, self.c1.a), gcd(self.c1.b, self.s))
+        return gcd(self.r, self.a, self.b, self.s)
 
     def is_primitive(self) -> bool:
         return self.content() == 1
@@ -96,10 +92,10 @@ class MukaiVector:
         n = self.content()
         if n == 0:
             raise PreconditionError("zero vector has no primitive part")
-        return n, MukaiVector.of(self.r // n, self.a // n, self.b // n, self.s // n)
+        return n, MukaiVector(self.r // n, self.a // n, self.b // n, self.s // n)
 
     def is_zero(self) -> bool:
-        return self.r == 0 and self.c1.is_zero() and self.s == 0
+        return self.r == 0 and self.a == 0 and self.b == 0 and self.s == 0
 
     def text(self) -> str:
         """Wire format: four comma-separated integers r,a,b,s."""
@@ -111,12 +107,20 @@ class MukaiVector:
         if len(parts) != 4:
             raise ValueError(f"expected r,a,b,s with four entries, got {text!r}")
         r, a, b, s = (int(p.strip()) for p in parts)
-        return cls.of(r, a, b, s)
+        return cls(r, a, b, s)
 
 
 def mukai_pairing(v: MukaiVector, w: MukaiVector) -> int:
     """<v, w> = c1(v).c1(w) - r(v) s(w) - r(w) s(v)."""
-    return v.c1.dot(w.c1) - v.r * w.s - w.r * v.s
+    return v.a * w.b + w.a * v.b - v.r * w.s - w.r * v.s
+
+
+def collinear(v: MukaiVector, w: MukaiVector) -> bool:
+    """True iff v and w are linearly dependent (all 2x2 minors vanish)."""
+    vt, wt = v.as_tuple(), w.as_tuple()
+    return all(
+        vt[i] * wt[j] == vt[j] * wt[i] for i in range(4) for j in range(i + 1, 4)
+    )
 
 
 def square(v: MukaiVector) -> int:

@@ -18,6 +18,7 @@ from bielliptic.lattice import (
     MukaiVector,
     QDivisor,
     QMukaiVector,
+    collinear,
 )
 from bielliptic.surfaces import surface_invariants
 
@@ -114,15 +115,6 @@ NOWHERE = _Nowhere()
 WallLocus = QuadraticLocus | _Everywhere | _Nowhere
 
 
-def _are_collinear(v: MukaiVector, w: MukaiVector) -> bool:
-    vt, wt = v.as_tuple(), w.as_tuple()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if vt[i] * wt[j] != vt[j] * wt[i]:
-                return False
-    return True
-
-
 def slice_charge(
     t: int, v: MukaiVector, H0: DivisorClass, x: Fraction, y: Fraction
 ) -> ComplexRational:
@@ -144,10 +136,11 @@ def wall_in_slice(t: int, v: MukaiVector, w: MukaiVector, H0: DivisorClass) -> W
     surface_invariants(t)
     if not (H0.a > 0 and H0.b > 0):
         raise PreconditionError(f"H0 must be ample, got ({H0.a},{H0.b})")
-    if _are_collinear(v, w):
+    if collinear(v, w):
         raise PreconditionError("v and w are collinear; the wall locus is degenerate")
     P = H0.self_int()
-    dv, dw = H0.dot(v.c1), H0.dot(w.c1)
+    dv = H0.a * v.b + v.a * H0.b
+    dw = H0.a * w.b + w.a * H0.b
     alpha = P * (v.r * dw - w.r * dv)
     beta = 2 * P * (w.r * v.s - v.r * w.s)
     gamma = 2 * (dv * w.s - dw * v.s)

@@ -23,7 +23,7 @@ exactly when they involve an odd number of anti-equivalences).
 from dataclasses import dataclass
 from enum import Enum
 
-from bielliptic.errors import PreconditionError
+from bielliptic.errors import PreconditionError, ReductionBudgetError
 from bielliptic.lattice import DivisorClass, MukaiVector, square
 from bielliptic.surfaces import surface_invariants
 
@@ -76,42 +76,45 @@ def step_from_json(obj: dict) -> TransformStep:
         raise ValueError(f"unknown transform step {name!r}") from None
 
 
+def _act(step: TransformStep, lam: int, ordk: int, r: int, a: int, b: int, s: int):
+    """One step's lattice action on (r, a, b, s); the step is not validated."""
+    if step.__class__ is TwistBy:
+        x, y = step.D.a, step.D.b
+        return r, a + r * x, b + r * y, s + a * y + b * x + r * x * y
+    if step is PHI_INV:
+        return r - lam * a, a, b - lam * s, s
+    if step is PSI_INV:
+        return r - ordk * b, a - ordk * s, b, s
+    if step is DUAL:
+        return r, -a, -b, s
+    if step is PSI_DUAL_MOVE:
+        return ordk * b - r, a - ordk * s, b, -s
+    if step is TYPE6_A_MOVE:
+        T = s - b
+        return 2 * r - 3 * a, r - a, -b - 3 * T, -T
+    if step is ORD3_B_MOVE:
+        T = s - a
+        return 2 * r - 3 * b, -a - 3 * T, r - b, -T
+    if step is PHI:
+        return r + lam * a, a, b + lam * s, s
+    if step is PSI:
+        return r + ordk * b, a + ordk * s, b, s
+    if step is SHIFT:
+        return -r, -a, -b, -s
+    raise PreconditionError(f"unknown transform step {step!r}")
+
+
 def apply_transform(t: int, step: TransformStep, v: MukaiVector) -> MukaiVector:
     """Apply one step's lattice action; validates the step against the type."""
     data = surface_invariants(t)
     lam, ordk = data.lam, data.ord_k
-    r, a, b, s = v.as_tuple()
-
-    if isinstance(step, TwistBy):
-        x, y = step.D.a, step.D.b
-        return MukaiVector.of(r, a + r * x, b + r * y, s + a * y + b * x + r * x * y)
-    if step is DUAL:
-        return MukaiVector.of(r, -a, -b, s)
-    if step is SHIFT:
-        return -v
-    if step is PHI:
-        return MukaiVector.of(r + lam * a, a, b + lam * s, s)
-    if step is PHI_INV:
-        return MukaiVector.of(r - lam * a, a, b - lam * s, s)
-    if step is PSI:
-        return MukaiVector.of(r + ordk * b, a + ordk * s, b, s)
-    if step is PSI_INV:
-        return MukaiVector.of(r - ordk * b, a - ordk * s, b, s)
-    if step is TYPE6_A_MOVE:
-        if lam != 3:
-            raise PreconditionError(f"type6_a_move needs lambda = 3, type {t} has {lam}")
-        T = s - b
-        return MukaiVector.of(2 * r - 3 * a, r - a, -b - 3 * T, -T)
-    if step is ORD3_B_MOVE:
-        if ordk != 3:
-            raise PreconditionError(f"ord3_b_move needs ord_k = 3, type {t} has {ordk}")
-        T = s - a
-        return MukaiVector.of(2 * r - 3 * b, -a - 3 * T, r - b, -T)
-    if step is PSI_DUAL_MOVE:
-        if ordk not in (4, 6):
-            raise PreconditionError(f"psi_dual_move needs ord_k in (4, 6), type {t} has {ordk}")
-        return MukaiVector.of(ordk * b - r, a - ordk * s, b, -s)
-    raise PreconditionError(f"unknown transform step {step!r}")
+    if step is TYPE6_A_MOVE and lam != 3:
+        raise PreconditionError(f"type6_a_move needs lambda = 3, type {t} has {lam}")
+    if step is ORD3_B_MOVE and ordk != 3:
+        raise PreconditionError(f"ord3_b_move needs ord_k = 3, type {t} has {ordk}")
+    if step is PSI_DUAL_MOVE and ordk not in (4, 6):
+        raise PreconditionError(f"psi_dual_move needs ord_k in (4, 6), type {t} has {ordk}")
+    return MukaiVector(*_act(step, lam, ordk, v.r, v.a, v.b, v.s))
 
 
 @dataclass(frozen=True)
@@ -171,37 +174,14 @@ def matches_reduced_form(t: int, v: MukaiVector) -> bool:
 # the reduction loop
 
 
-def _emit(steps: list[TransformStep], t: int, step: TransformStep, v: MukaiVector):
-    steps.append(step)
-    return apply_transform(t, step, v)
-
-
-def _normalize_twist(steps, t, v):
-    """Single twist putting a and b into [0, r)."""
-    r = v.r
-    x = -(v.a // r)
-    y = -(v.b // r)
-    if x or y:
-        v = _emit(steps, t, TwistBy(DivisorClass(x, y)), v)
-    return v
-
-
-def _flip(steps, t, v):
-    """Dual followed by one twist: a -> (r - a) mod r, b -> (r - b) mod r."""
-    v = _emit(steps, t, DUAL, v)
-    x = 1 if v.a < 0 else 0
-    y = 1 if v.b < 0 else 0
-    if x or y:
-        v = _emit(steps, t, TwistBy(DivisorClass(x, y)), v)
-    return v
-
-
 def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
     """Drive a primitive positive-rank vector to a reduced row pattern.
 
     Rank-reducing steps strictly decrease the rank and keep it positive, so
     at most rank(v) of them occur; the square and primitivity are preserved
-    throughout and the returned log replays the input to the output.
+    throughout and the returned log replays the input to the output.  The
+    loop runs at most 20*r + 100 rounds; running out raises
+    ReductionBudgetError.
 
     One residue class on type 6 is genuinely irreducible under this move
     set: for 3 | r and (a, b) = +-(1, 2) mod 3 every step fixes the pair
@@ -216,54 +196,62 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
 
     data = surface_invariants(t)
     lam, ordk = data.lam, data.ord_k
+    act = _act
     steps: list[TransformStep] = []
-    fuel = 20 * v.r + 100
+    emit = steps.append
+    r, a, b, s = v.r, v.a, v.b, v.s
+    budget = 20 * r + 100
+    fuel = budget
 
     while True:
         fuel -= 1
         if fuel < 0:
-            raise AssertionError(f"reduction failed to converge on {v.text()} (type {t})")
-        v = _normalize_twist(steps, t, v)
-        r, a, b, s = v.as_tuple()
+            raise ReductionBudgetError(
+                f"reduction of {v.text()} on type {t} did not converge within "
+                f"its budget of 20*r + 100 = {budget} rounds"
+            )
+        # one twist putting a and b into [0, r); after a dual it completes
+        # the flip a -> (r - a) mod r, b -> (r - b) mod r
+        x = -(a // r)
+        y = -(b // r)
+        if x or y:
+            step = TwistBy(DivisorClass(x, y))
+            emit(step)
+            r, a, b, s = act(step, lam, ordk, r, a, b, s)
 
         if not _a_reduced(a, r, lam):
             if 2 * a > r:
-                v = _flip(steps, t, v)
-                continue
-            if lam * a < r:
-                v = _emit(steps, t, PHI_INV, v)
-                continue
-            # lambda = 3 and r/3 < a <= r/2
-            v = _emit(steps, t, TYPE6_A_MOVE, v)
-            continue
-
-        if _b_reduced(b, r, ordk):
-            return v, TransformLog(tuple(steps))
-
-        flip_safe = a == 0 or 2 * a == r
-        if 2 * b > r and flip_safe:
-            v = _flip(steps, t, v)
-            continue
-        if ordk * b < r:
-            v = _emit(steps, t, PSI_INV, v)
-            continue
-        if ordk == 3:
+                step = DUAL
+            elif lam * a < r:
+                step = PHI_INV
+            else:
+                # lambda = 3 and r/3 < a <= r/2
+                step = TYPE6_A_MOVE
+        elif _b_reduced(b, r, ordk):
+            return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
+        elif 2 * b > r and (a == 0 or 2 * a == r):
+            step = DUAL
+        elif ordk * b < r:
+            step = PSI_INV
+        elif ordk == 3:
             if 3 * b < 2 * r:
-                v = _emit(steps, t, ORD3_B_MOVE, v)
-                continue
-            if 3 * b == 2 * r:
+                step = ORD3_B_MOVE
+            elif 3 * b == 2 * r:
                 # a = r/3 here; the escape below is rank-neutral and moves b
                 # off the stuck residue unless r = 3 (k | s forces k = 1).
-                k = r // 3
-                if s % k == 0:
-                    return v, TransformLog(tuple(steps))
-                v = _emit(steps, t, TYPE6_A_MOVE, v)
-                continue
-            v = _emit(steps, t, TwistBy(DivisorClass(0, -1)), v)
-            v = _emit(steps, t, PSI, v)
-            continue
-        # ord 4 or 6, r/ord < b < 2r/ord after the safe flip
-        v = _emit(steps, t, PSI_DUAL_MOVE, v)
+                if s % (r // 3) == 0:
+                    return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
+                step = TYPE6_A_MOVE
+            else:
+                step = TwistBy(DivisorClass(0, -1))
+                emit(step)
+                r, a, b, s = act(step, lam, ordk, r, a, b, s)
+                step = PSI
+        else:
+            # ord 4 or 6, r/ord < b < 2r/ord after the safe flip
+            step = PSI_DUAL_MOVE
+        emit(step)
+        r, a, b, s = act(step, lam, ordk, r, a, b, s)
 
 
 def count_rank_reducing(t: int, v: MukaiVector, log: TransformLog) -> int:

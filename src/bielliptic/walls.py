@@ -15,6 +15,7 @@ from math import gcd, isqrt
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import (
     MukaiVector,
+    collinear,
     l_invariant,
     l_invariant_any,
     mukai_pairing,
@@ -102,17 +103,10 @@ class HyperbolicPair:
         return g11 * x * u + g12 * (x * w + y * u) + g22 * y * w
 
 
-def _collinear(v: MukaiVector, w: MukaiVector) -> bool:
-    vt, wt = v.as_tuple(), w.as_tuple()
-    return all(
-        vt[i] * wt[j] == vt[j] * wt[i] for i in range(4) for j in range(i + 1, 4)
-    )
-
-
 def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
     """Saturation of span{v, w} with its Gram matrix; must be hyperbolic."""
     surface_invariants(t)
-    if _collinear(v, w):
+    if collinear(v, w):
         raise PreconditionError(f"{v.text()} and {w.text()} are collinear")
     if square(v) <= 0:
         raise PreconditionError(f"need v^2 > 0, got v^2 = {square(v)}")

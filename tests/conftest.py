@@ -11,11 +11,10 @@ FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 surface_types = st.integers(min_value=1, max_value=7)
 
-coords = st.integers(min_value=-30, max_value=30)
-
 
 @st.composite
-def mukai_vectors(draw, rmin=-30, rmax=30):
+def mukai_vectors(draw, rmin=-30, rmax=30, cmax=30):
+    coords = st.integers(min_value=-cmax, max_value=cmax)
     return MukaiVector.of(
         draw(st.integers(min_value=rmin, max_value=rmax)),
         draw(coords),
@@ -25,8 +24,8 @@ def mukai_vectors(draw, rmin=-30, rmax=30):
 
 
 @st.composite
-def primitive_vectors(draw, rmin=1, rmax=30):
+def primitive_vectors(draw, rmin=1, rmax=30, cmax=30):
     v = draw(
-        mukai_vectors(rmin=rmin, rmax=rmax).filter(lambda u: u.is_primitive())
+        mukai_vectors(rmin=rmin, rmax=rmax, cmax=cmax).filter(lambda u: u.is_primitive())
     )
     return v

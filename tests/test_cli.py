@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from bielliptic import transforms
 from bielliptic.cli import run_command
 from bielliptic.lattice import MukaiVector, square
 from bielliptic.transforms import TransformLog
@@ -78,6 +79,16 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--type", "1", "--vector", "0,1,0,0")
         assert code == 3
         assert "rank" in err
+
+    def test_budget_exhausted_exits_3(self, capsys, monkeypatch):
+        # with every step acting as the identity the loop never converges
+        monkeypatch.setattr(transforms, "_act", lambda step, lam, ordk, r, a, b, s: (r, a, b, s))
+        code, out, err = run(capsys, "reduce", "--type", "1", "--vector", "3,1,1,0", "--json")
+        assert code == 3
+        assert out == ""
+        assert "reduction of 3,1,1,0 on type 1" in err
+        assert "budget of 20*r + 100 = 160 rounds" in err
+        assert "Traceback" not in err
 
 
 class TestWall:

@@ -11,6 +11,7 @@ from bielliptic.lattice import (
     MukaiVector,
     QDivisor,
     SLOPE_INFINITY,
+    collinear,
     divisor_numerics,
     l_invariant,
     mukai_pairing,
@@ -48,6 +49,40 @@ class TestPairing:
     @given(mukai_vectors())
     def test_square_even(self, v):
         assert square(v) % 2 == 0
+
+
+class TestFlatValue:
+    def test_equality_and_hash(self):
+        v = MukaiVector.of(2, -1, 3, 5)
+        assert v == MukaiVector(2, -1, 3, 5)
+        assert hash(v) == hash(MukaiVector(2, -1, 3, 5))
+        assert v != MukaiVector(2, -1, 3, 4)
+        assert v != (2, -1, 3, 5)
+        assert len({v, MukaiVector(2, -1, 3, 5)}) == 1
+
+    def test_arithmetic_and_text(self):
+        v, w = MukaiVector(2, -1, 3, 5), MukaiVector(1, 1, 0, -2)
+        assert v + w == MukaiVector(3, 0, 3, 3)
+        assert v - w == MukaiVector(1, -2, 3, 7)
+        assert -v == MukaiVector(-2, 1, -3, -5)
+        assert 3 * w == MukaiVector(3, 3, 0, -6)
+        assert MukaiVector.parse(v.text()) == v
+        assert repr(v) == "MukaiVector(2, -1, 3, 5)"
+
+    def test_primitive_part(self):
+        assert MukaiVector(4, -2, 6, 0).primitive_part() == (2, MukaiVector(2, -1, 3, 0))
+        assert MukaiVector(0, 0, 0, 0).is_zero()
+        with pytest.raises(PreconditionError):
+            MukaiVector(0, 0, 0, 0).primitive_part()
+
+    @given(mukai_vectors(), st.integers(-5, 5))
+    def test_collinear_with_multiples(self, v, n):
+        assert collinear(v, n * v)
+        assert collinear(v, MukaiVector(0, 0, 0, 0))
+
+    def test_independent_vectors_are_not_collinear(self):
+        assert not collinear(MukaiVector(1, 0, 0, -2), MukaiVector(0, 0, 0, 1))
+        assert not collinear(MukaiVector(1, 2, 0, 0), MukaiVector(1, 0, 2, 0))
 
 
 class TestLInvariant:

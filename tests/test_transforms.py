@@ -1,7 +1,11 @@
+import hashlib
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bielliptic.cli import run_command
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import DivisorClass, MukaiVector, mukai_pairing, square
 from bielliptic.surfaces import all_types, surface_invariants
@@ -30,17 +34,10 @@ from conftest import mukai_vectors, primitive_vectors, surface_types
 
 
 def steps_valid_for(t):
+    """All atoms valid on type t, and twists by A0, B0, A0 + B0, -2A0 + 3B0."""
     d = surface_invariants(t)
-    steps = [
-        TwistBy(DivisorClass(1, 0)),
-        TwistBy(DivisorClass(-2, 3)),
-        DUAL,
-        SHIFT,
-        PHI,
-        PHI_INV,
-        PSI,
-        PSI_INV,
-    ]
+    steps = [TwistBy(DivisorClass(x, y)) for x, y in ((1, 0), (0, 1), (1, 1), (-2, 3))]
+    steps += [DUAL, SHIFT, PHI, PHI_INV, PSI, PSI_INV]
     if d.lam == 3:
         steps.append(TYPE6_A_MOVE)
     if d.ord_k == 3:
@@ -48,6 +45,48 @@ def steps_valid_for(t):
     if d.ord_k in (4, 6):
         steps.append(PSI_DUAL_MOVE)
     return steps
+
+
+def _stuck_type6(t, v):
+    return t == 6 and v.r % 3 == 0 and (v.a % 3, v.b % 3) in ((1, 2), (2, 1))
+
+
+def _seeded_corpus(seed, n, rmax):
+    """n primitive vectors with 1 <= r <= rmax and |a|, |b|, |s| <= rmax."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        v = MukaiVector.of(
+            rng.randint(1, rmax),
+            rng.randint(-rmax, rmax),
+            rng.randint(-rmax, rmax),
+            rng.randint(-rmax, rmax),
+        )
+        if v.is_primitive():
+            out.append(v)
+    return out
+
+
+UNIT_VECTORS = [MukaiVector.of(*(int(i == j) for j in range(4))) for i in range(4)]
+
+
+def _step_id(step):
+    obj = step.describe()
+    if obj["params"] is None:
+        return obj["step"]
+    return f"twist({obj['params']['a']},{obj['params']['b']})"
+
+
+@pytest.mark.parametrize(
+    "t, step",
+    [pytest.param(t, step, id=f"{t}-{_step_id(step)}") for t in all_types() for step in steps_valid_for(t)],
+)
+def test_step_is_linear_isometry_on_unit_vectors(t, step):
+    images = [apply_transform(t, step, e) for e in UNIT_VECTORS]
+    for i, ei in enumerate(UNIT_VECTORS):
+        for j, ej in enumerate(UNIT_VECTORS):
+            assert mukai_pairing(images[i], images[j]) == mukai_pairing(ei, ej), (i, j)
+            assert apply_transform(t, step, ei + ej) == images[i] + images[j], (i, j)
 
 
 class TestSingleSteps:
@@ -139,9 +178,8 @@ class TestReduce:
     @given(primitive_vectors(rmin=1, rmax=25))
     def test_row_membership_outside_the_stuck_class(self, v):
         for t in all_types():
-            stuck = t == 6 and v.r % 3 == 0 and (v.a % 3, v.b % 3) in ((1, 2), (2, 1))
             v0, _ = reduce_to_table(t, v)
-            if stuck:
+            if _stuck_type6(t, v):
                 # irreducible residue class: canonical form (3q, q, 2q, s)
                 q = v0.r // 3
                 assert (v0.a, v0.b) == (q, 2 * q)
@@ -198,3 +236,38 @@ class TestExceptional:
         tw = TwistBy(DivisorClass(x, y))
         assert detect_exceptional(2, apply_transform(2, tw, MukaiVector.of(2, 0, 0, -1))) is ExceptionalKind.RANK2_TRIVIAL
         assert detect_exceptional(1, apply_transform(1, tw, MukaiVector.of(2, 0, 1, -1))) is ExceptionalKind.RANK2_TYPE1_B0
+
+
+class TestReductionOutput:
+    """The reduction's CLI output is fixed byte for byte on a seeded corpus."""
+
+    # SHA-256 of the concatenated `reduce --json` stdout below; it covers
+    # the reduced vector, the table verdict and the full step log.
+    DIGEST = "cb4066a27be16d5fc89f9fc7ff6f56cebf28440ff049f20e20754e9a16f0f8e2"
+
+    def test_golden_digest(self, capsys):
+        corpus = _seeded_corpus(0, 50, 40) + _seeded_corpus(1, 50, 10**6)
+        h = hashlib.sha256()
+        for t in all_types():
+            for v in corpus:
+                code = run_command(["reduce", "--type", str(t), f"--vector={v.text()}", "--json"])
+                out = capsys.readouterr().out
+                assert code == 0
+                h.update(out.encode())
+        assert h.hexdigest() == self.DIGEST
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        surface_types,
+        primitive_vectors(rmin=1, rmax=10**6, cmax=10**6),
+    )
+    def test_large_rank_postconditions(self, t, v):
+        v0, log = reduce_to_table(t, v)
+        assert log.replay(t, v) == v0
+        assert square(v0) == square(v)
+        if _stuck_type6(t, v):
+            q = v0.r // 3
+            assert (v0.r % 3, v0.a, v0.b) == (0, q, 2 * q)
+            assert not matches_reduced_form(t, v0)
+        else:
+            assert matches_reduced_form(t, v0), (t, v, v0)
