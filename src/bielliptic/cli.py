@@ -8,9 +8,11 @@ preconditions (named on stderr), 0 on success.
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
+from math import prod
 
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import (
@@ -28,6 +30,9 @@ from bielliptic.transforms import matches_reduced_form, reduce_to_table
 from bielliptic.walls import classify_wall, saturate_lattice
 
 SCHEMA = 1
+# Input budgets, checked before any work; a breach exits 3.
+MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
+MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
 
 
 def _frac_str(x) -> str:
@@ -160,6 +165,10 @@ def _cmd_wall_classify(args) -> int:
 
 
 def _cmd_wall_slice(args) -> int:
+    if args.emit_samples > MAX_EMIT_SAMPLES:
+        raise PreconditionError(
+            f"--emit-samples {args.emit_samples} exceeds the cap of {MAX_EMIT_SAMPLES}"
+        )
     v = MukaiVector.parse(args.v)
     w = MukaiVector.parse(args.w)
     H0 = _parse_divisor(args.H0)
@@ -254,6 +263,11 @@ def _cmd_atlas(args) -> int:
     bounds = [int(x) for x in args.bounds.split(",")]
     if len(bounds) != 4 or any(b < 0 for b in bounds):
         raise PreconditionError(f"--bounds wants R,A,B,S nonnegative, got {args.bounds}")
+    box = prod(2 * b + 1 for b in bounds)
+    if box > MAX_ATLAS_VECTORS:
+        raise PreconditionError(
+            f"--bounds {args.bounds} spans {box} vectors, over the cap of {MAX_ATLAS_VECTORS}"
+        )
     generators = [MukaiVector.parse(w) for w in args.w]
     rb, ab, bb, sb = bounds
     rows = []
@@ -283,7 +297,10 @@ def _cmd_atlas(args) -> int:
                             )
                         )
     rows.sort()
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    try:
+        out = open(args.out, "w", newline="") if args.out else sys.stdout
+    except OSError as e:
+        raise ValueError(f"--out {args.out}: {e.strerror}") from None
     try:
         writer = csv.writer(out)
         writer.writerow(["type", "v", "w", "tss", "labels", "codim_bound"])
@@ -294,7 +311,9 @@ def _cmd_atlas(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="bielliptic",
         description="Exact Mukai-lattice calculator for the seven bielliptic families.",
@@ -379,6 +398,10 @@ def run_command(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse before Python 3.12 parses "--flag=--" to an empty list
+        for name, value in vars(args).items():
+            if value == [] or (isinstance(value, list) and [] in value):
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     except SystemExit as e:
         return int(e.code or 0)
     try:

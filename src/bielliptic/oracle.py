@@ -13,6 +13,10 @@ from bielliptic.errors import PreconditionError
 from bielliptic.surfaces import surface_invariants
 
 
+def _floor_lhs(m: int, l1: int, l2: int, q: int, b1: int, b2: int) -> int:
+    return -((b1 * l1) // m) - ((b2 * l2) // m) + b1 * b2 * q
+
+
 @dataclass(frozen=True)
 class EqualityCase:
     """One solution of the floor equation governing zero/one-codimension
@@ -34,12 +38,7 @@ class EqualityCase:
     target: int
 
     def floor_equation_holds(self) -> bool:
-        return (
-            -((self.b1 * self.l1) // self.m)
-            - ((self.b2 * self.l2) // self.m)
-            + self.b1 * self.b2 * self.q
-            == self.target
-        )
+        return _floor_lhs(self.m, self.l1, self.l2, self.q, self.b1, self.b2) == self.target
 
     def consistent(self) -> bool:
         return (
@@ -56,7 +55,8 @@ def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[Equali
     """Exhaustive scan of all consistent solutions with b1, b2, q <= bound.
 
     Canonical form: l1 < l2, or l1 == l2 and b1 <= b2 (the two rays play
-    symmetric roles).  Deterministically ordered output.
+    symmetric roles).  The scan runs in ``EqualityCase.as_tuple`` order, so
+    the output is sorted.
     """
     if m not in (2, 3, 4, 6):
         raise PreconditionError(f"m must be one of 2, 3, 4, 6, got {m}")
@@ -74,13 +74,10 @@ def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[Equali
                 if (m * q) % (l1 * l2) != 0:
                     continue
                 for b1 in range(1, bound + 1):
-                    for b2 in range(1, bound + 1):
-                        if l1 == l2 and b2 < b1:
-                            continue
-                        case = EqualityCase(m, l1, l2, q, b1, b2, target)
-                        if case.floor_equation_holds():
-                            out.append(case)
-    return sorted(out, key=EqualityCase.as_tuple)
+                    for b2 in range(b1 if l1 == l2 else 1, bound + 1):
+                        if _floor_lhs(m, l1, l2, q, b1, b2) == target:
+                            out.append(EqualityCase(m, l1, l2, q, b1, b2, target))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -156,43 +156,34 @@ def wall_in_slice(t: int, v: MukaiVector, w: MukaiVector, H0: DivisorClass) -> W
     return QuadraticLocus(alpha, beta, gamma)
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    if q < 0:
-        return None
-    pn, pd = q.numerator, q.denominator
-    rn, rd = isqrt(pn), isqrt(pd)
-    if rn * rn == pn and rd * rd == pd:
-        return Fraction(rn, rd)
-    return None
-
-
 def locus_samples(locus: WallLocus, count: int) -> list[tuple[Fraction, Fraction]]:
     """Up to ``count`` exact rational points (x, y), y > 0, on the locus.
 
-    Lines (alpha = 0) always yield points; circles are scanned over small-
-    denominator x and kept where y^2 is a rational square.  May return
-    fewer than requested (a rational circle need not have rational points).
+    Lines (alpha = 0) always yield points.  Circles are scanned in integers
+    over x = num/den in lowest terms, den = 1..12 and |x| <= 12, in that
+    order: y^2 = n / (alpha*den)^2 with
+    n = -alpha * (alpha*num^2 + beta*num*den + gamma*den^2), so y is a
+    positive rational iff n > 0 is a perfect square, and then
+    y = isqrt(n) / (alpha*den).  May return fewer than requested (a
+    rational circle need not have rational points).
     """
-    if isinstance(locus, (_Everywhere, _Nowhere)):
-        pts = []
-        if isinstance(locus, _Everywhere):
-            pts = [(Fraction(k), Fraction(1)) for k in range(count)]
-        return pts[:count]
-    out: list[tuple[Fraction, Fraction]] = []
-    if locus.alpha == 0:
-        x = Fraction(-locus.gamma, locus.beta)
+    if count <= 0 or locus is NOWHERE:
+        return []
+    if locus is EVERYWHERE:
+        return [(Fraction(k), Fraction(1)) for k in range(count)]
+    alpha, beta, gamma = locus.alpha, locus.beta, locus.gamma
+    if alpha == 0:
+        x = Fraction(-gamma, beta)
         return [(x, Fraction(k)) for k in range(1, count + 1)]
+    out: list[tuple[Fraction, Fraction]] = []
     for den in range(1, 13):
         for num in range(-12 * den, 12 * den + 1):
-            x = Fraction(num, den)
-            y2 = -Fraction(locus.alpha * x * x + locus.beta * x + locus.gamma, locus.alpha)
-            if y2 <= 0:
+            n = -alpha * (alpha * num * num + beta * num * den + gamma * den * den)
+            if n <= 0:
                 continue
-            y = _rational_sqrt(y2)
-            if y is None:
-                continue
-            if (x, y) not in out:
-                out.append((x, y))
+            root = isqrt(n)
+            if root * root == n and gcd(num, den) == 1:
+                out.append((Fraction(num, den), Fraction(root, alpha * den)))
                 if len(out) >= count:
                     return out
     return out

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import importlib.util
+import io
 import json
+import random
+import tempfile
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from bielliptic import transforms
+from bielliptic import cli, transforms
 from bielliptic.cli import run_command
 from bielliptic.lattice import MukaiVector, square
 from bielliptic.transforms import TransformLog
@@ -126,6 +131,26 @@ class TestWall:
         assert payload["locus"] == {"alpha": 0, "beta": 1, "gamma": 0}
         assert len(payload["samples"]) == 4
 
+    def test_slice_samples_at_cap(self, capsys):
+        payload = run_json(
+            capsys,
+            "wall", "slice", "--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,-1",
+            "--H0", "1,1", "--emit-samples", str(cli.MAX_EMIT_SAMPLES), "--json",
+        )
+        assert len(payload["samples"]) == cli.MAX_EMIT_SAMPLES
+
+    @pytest.mark.parametrize("n", [cli.MAX_EMIT_SAMPLES + 1, 10**9])
+    def test_slice_samples_over_cap_exits_3(self, capsys, monkeypatch, n):
+        # refused before the locus is computed, so nothing is built
+        monkeypatch.setattr(cli, "wall_in_slice", _must_not_run)
+        code, out, err = run(
+            capsys,
+            "wall", "slice", "--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,-1",
+            "--H0", "1,1", "--emit-samples", str(n), "--json",
+        )
+        assert (code, out) == (3, "")
+        assert f"--emit-samples {n} exceeds the cap of {cli.MAX_EMIT_SAMPLES}" in err
+
 
 class TestModuli:
     def test_report(self, capsys):
@@ -147,7 +172,41 @@ class TestOracle:
         assert (1, 2, 1, 2, 1) in entries
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("work started before the budget check")
+
+
 class TestAtlas:
+    @pytest.mark.parametrize("bounds", ["9,9,9,9", "50000,0,0,0", "10000000000,1,1,1"])
+    def test_box_over_cap_exits_3(self, capsys, monkeypatch, bounds):
+        # the first vector of the sweep would call square(); it must not be reached
+        monkeypatch.setattr(cli, "square", _must_not_run)
+        code, out, err = run(capsys, "atlas", "--type", "1", "--bounds", bounds, "--w", "0,0,0,1")
+        assert (code, out) == (3, "")
+        assert f"--bounds {bounds} spans" in err
+        assert f"over the cap of {cli.MAX_ATLAS_VECTORS}" in err
+
+    def test_box_under_cap_is_swept(self, capsys, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(v):
+            raise Started
+
+        # 17**4 = 83,521 vectors: under the cap, so the sweep starts
+        monkeypatch.setattr(cli, "square", started)
+        with pytest.raises(Started):
+            run_command(["atlas", "--type", "1", "--bounds", "8,8,8,8", "--w", "0,0,0,1"])
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys,
+            "atlas", "--type", "1", "--bounds", "0,0,0,1", "--w", "0,0,0,1",
+            "--out", str(tmp_path / "no" / "such" / "dir.csv"),
+        )
+        assert (code, out) == (2, "")
+        assert "--out" in err
+
     def test_csv_output(self, capsys, tmp_path):
         out = tmp_path / "atlas.csv"
         code, _, _ = run(
@@ -177,3 +236,119 @@ class TestAtlas:
         )
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == golden[str(t)]
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path (read only)."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", FIXTURES.parent / "bench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cli_golden_digest():
+    workloads = _bench_workloads()
+    with open(FIXTURES.parent / "bench" / "golden.json") as fh:
+        golden = json.load(fh)["cli"]
+    calls = workloads.cli_calls(
+        random.Random(workloads.CLI_GOLDEN_SEED), workloads.CLI_CALLS_PER_BATCH
+    )
+    # twice in one process: the one shared parser must carry nothing between calls
+    assert [workloads.cli_golden_digest(calls) for _ in range(2)] == [golden, golden]
+    assert cli.build_parser() is cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# fuzz: argv drawn from the parser's grammar plus junk ends in exit 0, 2 or 3
+
+_JUNK = st.one_of(
+    st.sampled_from(
+        ["", "x", "1,2", "1,2,3", "1,2,3,4,5", "1.5,0,0,0", "1,,2,3", "a,b,c,d", "-",
+         "--", "-1", "0", "10" * 30, "9" * 5000, "--json", "--nope", "-h", "wall", "1,1"]
+    ),
+    st.text(max_size=6),
+)
+
+
+def _value(valid, invalid):
+    """Of six draws, four are valid values, one is out of range and one is junk."""
+    return st.integers(0, 5).flatmap(
+        lambda i: (valid if i < 4 else invalid if i == 4 else _JUNK).map(str)
+    )
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map(lambda p: ",".join(map(str, p)))
+
+
+_SMALL = st.integers(-4, 4)
+_VECTOR = _value(_joined(_SMALL, _SMALL, _SMALL, _SMALL), _joined(_SMALL, _SMALL, _SMALL))
+_TYPE = ("--type", _value(st.integers(1, 7), st.sampled_from([-1, 0, 8, 9])))
+_MAX_PARTS = ("--max-parts", _value(st.integers(2, 4), st.integers(-1, 1)))
+_JSON = ("--json", None)
+# (leading tokens, [(flag, value strategy, or None for a switch)])
+_GRAMMAR = [
+    (["info"], [_TYPE, _JSON]),
+    (["pair"], [_TYPE, ("--v", _VECTOR), ("--w", _VECTOR), _JSON]),
+    (["reduce"], [_TYPE, ("--vector", _VECTOR), _JSON]),
+    (["wall", "classify"], [_TYPE, ("--v", _VECTOR), ("--w", _VECTOR), _MAX_PARTS, _JSON]),
+    (["wall", "slice"], [
+        _TYPE, ("--v", _VECTOR), ("--w", _VECTOR),
+        ("--H0", _value(_joined(st.integers(1, 4), st.integers(1, 4)), _joined(st.integers(-1, 0), st.integers(-1, 4)))),
+        ("--emit-samples", _value(st.integers(0, 8), st.sampled_from([-1, cli.MAX_EMIT_SAMPLES + 1, 10**12]))),
+        _JSON,
+    ]),
+    (["moduli", "report"], [_TYPE, ("--vector", _VECTOR), ("--generic-surface", None), _JSON]),
+    (["oracle", "cases"], [
+        ("--m", _value(st.sampled_from([2, 3, 4, 6]), st.sampled_from([0, 1, 5, 7]))),
+        ("--target", _value(st.sampled_from([0, 1]), st.sampled_from([-1, 2]))),
+        ("--bound", _value(st.integers(1, 6), st.integers(-1, 0))),
+        _JSON,
+    ]),
+    (["atlas"], [
+        _TYPE,
+        ("--bounds", _value(
+            _joined(*[st.integers(0, 1)] * 4),
+            st.sampled_from(["9,9,9,9", "100000,0,0,0", "-1,0,0,0", "1,1,1"]),
+        )),
+        ("--w", _VECTOR),
+        ("--w", _VECTOR),
+        _MAX_PARTS,
+        ("--out", _value(st.just("atlas.csv"), st.sampled_from([".", "no/such/dir/atlas.csv"]))),
+    ]),
+]
+
+
+@st.composite
+def _argvs(draw):
+    lead, flags = draw(st.sampled_from(_GRAMMAR))
+    argv = list(lead)
+    for flag, values in flags:
+        # usually once; sometimes missing (even when required) or given twice
+        times = draw(st.integers(0, 9).map(lambda i: 1 if i < 8 else 0 if i == 8 else 2))
+        for _ in range(times):
+            if values is None:
+                argv.append(flag)
+            elif draw(st.integers(0, 3)) < 3:
+                argv.append(f"{flag}={draw(values)}")  # the form a negative value needs
+            else:
+                argv += [flag, draw(values)]
+    for _ in range(draw(st.integers(0, 5).map(lambda i: max(0, i - 3)))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@given(st.integers(0, 4).flatmap(lambda i: _argvs() if i < 4 else st.lists(_JUNK, max_size=4)))
+@example(["pair", "--type=1", "--v=0,0,0,0", "--w=--"])
+@example(["wall", "slice", "--type=1", "--v=1,0,0,-1", "--w=0,0,0,-1", "--H0=1,1", "--emit-samples=--"])
+@example(["atlas", "--type=1", "--bounds=0,0,0,1", "--w=0,0,0,1", "--w=--"])
+@settings(max_examples=600, deadline=None)
+def test_fuzzed_argv_ends_in_a_named_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as cwd, contextlib.chdir(cwd):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_command(argv)
+    assert code in (0, 2, 3), argv
+    assert "Traceback" not in out.getvalue() + err.getvalue()

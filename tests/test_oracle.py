@@ -19,6 +19,27 @@ def load_fixture(m, target):
     return {(c["l1"], c["l2"], c["q"], c["b1"], c["b2"]) for c in data["cases"]}
 
 
+def _reference_cases(m, target, bound):
+    """The scan as first written: build every candidate, filter, then sort."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    out = []
+    for l1 in divisors:
+        for l2 in divisors:
+            if l2 < l1:
+                continue
+            for q in range(1, bound + 1):
+                if (m * q) % (l1 * l2) != 0:
+                    continue
+                for b1 in range(1, bound + 1):
+                    for b2 in range(1, bound + 1):
+                        if l1 == l2 and b2 < b1:
+                            continue
+                        case = EqualityCase(m, l1, l2, q, b1, b2, target)
+                        if -((b1 * l1) // m) - ((b2 * l2) // m) + b1 * b2 * q == target:
+                            out.append(case)
+    return sorted(out, key=EqualityCase.as_tuple)
+
+
 class TestEqualityCases:
     @pytest.mark.parametrize("m", [2, 3, 4, 6])
     @pytest.mark.parametrize("target", [0, 1])
@@ -59,6 +80,12 @@ class TestEqualityCases:
             assert c.l1 <= c.l2
             if c.l1 == c.l2:
                 assert c.b1 <= c.b2
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 6])
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_scan_matches_construct_then_filter(self, m, target):
+        for bound in range(1, 13):
+            assert enumerate_equality_cases(m, target, bound) == _reference_cases(m, target, bound)
 
     def test_bad_arguments(self):
         with pytest.raises(PreconditionError):

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from bielliptic.errors import DegenerateChargeError, PreconditionError
@@ -132,6 +133,45 @@ class TestWallInSlice:
             zv = slice_charge(1, v, H0, x, y)
             zw = slice_charge(1, w, H0, x, y)
             assert (zw * zv.conj()).im == 0
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    if q < 0:
+        return None
+    pn, pd = q.numerator, q.denominator
+    rn, rd = isqrt(pn), isqrt(pd)
+    if rn * rn == pn and rd * rd == pd:
+        return Fraction(rn, rd)
+    return None
+
+
+def _reference_circle_samples(locus, count):
+    """The circle branch of locus_samples as first written, in Fractions."""
+    out = []
+    for den in range(1, 13):
+        for num in range(-12 * den, 12 * den + 1):
+            x = Fraction(num, den)
+            y2 = -Fraction(locus.alpha * x * x + locus.beta * x + locus.gamma, locus.alpha)
+            if y2 <= 0:
+                continue
+            y = _rational_sqrt(y2)
+            if y is None:
+                continue
+            if (x, y) not in out:
+                out.append((x, y))
+                if len(out) >= count:
+                    return out
+    return out
+
+
+class TestLocusSamples:
+    @given(st.integers(1, 60), st.integers(-600, 600), st.integers(-600, 600), st.integers(0, 8))
+    @example(1, 0, -3, 8)  # x^2 + y^2 = 3 has no rational point
+    @example(1, 0, -25, 8)  # x^2 + y^2 = 25 has many
+    def test_integer_scan_matches_fraction_scan(self, alpha, beta, gamma, count):
+        locus = QuadraticLocus(alpha, beta, gamma)
+        # [:count]: the first scan returned its first point even for count 0
+        assert locus_samples(locus, count) == _reference_circle_samples(locus, count)[:count]
 
 
 class TestBayerMacri:
