@@ -33,6 +33,7 @@ SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
 MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
+MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
 
 
 def _frac_str(x) -> str:
@@ -238,6 +239,10 @@ def _cmd_moduli_report(args) -> int:
 
 
 def _cmd_oracle_cases(args) -> int:
+    if args.bound > MAX_ORACLE_BOUND:
+        raise PreconditionError(
+            f"--bound {args.bound} exceeds the cap of {MAX_ORACLE_BOUND}"
+        )
     cases = enumerate_equality_cases(args.m, args.target, bound=args.bound)
     payload = {
         "schema": SCHEMA,

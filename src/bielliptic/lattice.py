@@ -29,7 +29,6 @@ class DivisorClass:
         return 2 * self.a * self.b
 
 
-ZERO_DIVISOR = DivisorClass(0, 0)
 A0 = DivisorClass(1, 0)
 B0 = DivisorClass(0, 1)
 

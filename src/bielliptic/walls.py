@@ -3,9 +3,10 @@
 A wall lattice is the saturation of the span of v (v^2 > 0) and a second
 class w; it carries two, or zero, rational isotropic rays.  The classifier
 evaluates the totally-semistable tests and each contraction clause against
-the rays' pairing and divisibility invariants, enumerates the effective
-two-sided decompositions of v inside the positive cone, and reports the
-minimum of the filtration-stratum codimension bound over them.
+the rays' pairing and divisibility invariants, and reports the first
+effective decomposition of v inside the positive cone together with the
+minimum of the filtration-stratum codimension bound over all of them,
+found by a max-weight search that does not list the decompositions.
 """
 
 from dataclasses import dataclass
@@ -35,19 +36,6 @@ FLOPPING = "Flopping"
 FAKE_WALL = "FakeWall"
 NO_WALL = "NoWall"
 INDETERMINATE = "IndeterminateNonPrimitive"
-
-ALL_LABELS = (
-    HILBERT_CHOW,
-    LGU,
-    LGU_ORD2,
-    ORD2_EXCEPTIONAL,
-    ORD3_EXCEPTIONAL,
-    P1_FIBRATION,
-    FLOPPING,
-    FAKE_WALL,
-    NO_WALL,
-    INDETERMINATE,
-)
 
 _CONTRACTION_LABELS = frozenset(
     {HILBERT_CHOW, LGU, LGU_ORD2, ORD2_EXCEPTIONAL, ORD3_EXCEPTIONAL, P1_FIBRATION}
@@ -89,7 +77,9 @@ class HyperbolicPair:
 
     def from_coords(self, x: int, y: int) -> MukaiVector:
         e1, e2 = self.basis
-        return x * e1 + y * e2
+        return MukaiVector(
+            x * e1.r + y * e2.r, x * e1.a + y * e2.a, x * e1.b + y * e2.b, x * e1.s + y * e2.s
+        )
 
     def q(self, xy: tuple[int, int]) -> int:
         (g11, g12), (_, g22) = self.gram
@@ -208,7 +198,9 @@ def enumerate_decompositions(
     deterministic (parts sorted inside a multiset, multisets sorted).
     Parts are chosen in candidate order; the last one is looked up from
     the remainder, and a branch stops once the remainder leaves the closed
-    positive cone, which holds every sum of parts.
+    positive cone, which holds every sum of parts.  The list grows steeply
+    with v^2; classify_wall does not build it, and the tests use it as the
+    reference for _decomposition_search.
     """
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
@@ -264,6 +256,74 @@ def hn_codim_bound(t: int, parts: list[MukaiVector]) -> int:
         for j in range(i + 1, len(parts)):
             total += mukai_pairing(parts[i], parts[j])
     return total
+
+
+def _decomposition_search(
+    H: HyperbolicPair, max_parts: int
+) -> tuple[tuple[MukaiVector, ...] | None, int | None]:
+    """enumerate_decompositions(H, max_parts)[0] and the minimum of
+    hn_codim_bound over that list, or (None, None) when it is empty,
+    computed without listing it.
+
+    Every part p has v - p in the closed positive cone, so the possible
+    parts form the set C of positive classes p with q(v - p) >= 0.  C is
+    closed under p -> v - p, so each member lies in the decomposition
+    {p, v - p}, and a remainder rem - c left by members rem and c can be
+    completed exactly when it lies in C.
+
+    Since sum_{i<j} <p_i, p_j> = (v^2 - sum p_i^2) / 2, a decomposition's
+    bound is v^2/2 - sum w(p_i), with w(p) = p^2/2 for p^2 > 0 and
+    w(b*u) = floor(b * l(u) / ord_k) for an isotropic part b*u, so the
+    minimum bound is a maximum weight.  Two parts can be merged into one
+    without lowering the weight if one of them, p, has p^2 > 0:
+    w(p + q) = w(p) + q^2/2 + <p, q>, where <p, q> > 0 for q^2 > 0, and
+    <p, b*u> >= b >= w(b*u) because <p, u> is a positive integer and l(u)
+    divides ord_k.  Two isotropic parts on one ray can be merged too
+    (floor is superadditive), and the lattice has at most two isotropic
+    rays.  Hence some decomposition into two parts has the maximum weight,
+    whatever max_parts is.
+
+    The first decomposition in (r, a, b, s) order is built greedily: its
+    next part is the smallest c that occurs in some completion of the
+    remainder, i.e. c == rem, or rem - c in C with room for two more
+    parts.  Every part of such a completion is >= the parts already
+    chosen, so the walk never backtracks.
+    """
+    if max_parts < 2:
+        raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
+    t = H.surface
+    ordk = surface_invariants(t).ord_k
+    vxy = H.coords(H.v)
+    vx, vy = vxy
+    v2 = H.q(vxy)
+    weight = {}  # w(p) for p in C, keyed by coordinates
+    parts = []
+    for xy in _positive_classes(H, v2 - 1):
+        sq = H.q(xy)
+        if v2 - 2 * H.pair(vxy, xy) + sq < 0:  # q(v - p) < 0
+            continue
+        p = H.from_coords(*xy)
+        weight[xy] = sq // 2 if sq else l_invariant_any(t, p) // ordk
+        parts.append((p, xy))
+    if not parts:
+        return None, None
+    most = max(w + weight[(vx - x, vy - y)] for (x, y), w in weight.items())
+
+    parts.sort(key=lambda part: part[0].as_tuple())
+    first: list[MukaiVector] = []
+    rem, left, idx = vxy, max_parts, 0
+    while True:
+        p, c = parts[idx]
+        if c == rem:
+            first.append(p)
+            break
+        rest = (rem[0] - c[0], rem[1] - c[1])
+        if left >= 2 and rest in weight:
+            first.append(p)
+            rem, left = rest, left - 1
+        else:
+            idx += 1
+    return tuple(first), v2 // 2 - most
 
 
 @dataclass(frozen=True)
@@ -328,14 +388,14 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         add(ORD3_EXCEPTIONAL, tuple(u for u, q, l in info if q == 3 and l == 3))
     add(P1_FIBRATION, tss2)
 
-    decomps = enumerate_decompositions(H, max_parts)
+    first, codim = _decomposition_search(H, max_parts)
     if v.is_primitive():
-        if v2 >= 4 and decomps and not (labels & _CONTRACTION_LABELS):
-            add(FLOPPING, decomps[0])
+        if v2 >= 4 and first and not (labels & _CONTRACTION_LABELS):
+            add(FLOPPING, first)
         if not labels:
-            if decomps:
+            if first:
                 labels.add(FAKE_WALL)
-                witnesses[FAKE_WALL] = decomps[0]
+                witnesses[FAKE_WALL] = first
             else:
                 labels.add(NO_WALL)
                 witnesses[NO_WALL] = ()
@@ -343,7 +403,6 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         labels.add(INDETERMINATE)
         witnesses[INDETERMINATE] = ()
 
-    codim = min((hn_codim_bound(t, list(d)) for d in decomps), default=None)
     return WallClassification(
         totally_semistable=totally,
         tss_witness=tss_witness,

@@ -112,6 +112,14 @@ class TestWall:
         assert code == 3
         assert "collinear" in err
 
+    def test_huge_max_parts_is_bounded_by_the_pairing(self, capsys):
+        # every part pairs >= 1 with v, so on v^2 = 80 no decomposition has
+        # more than 80 parts, and a larger --max-parts changes nothing
+        argv = ["wall", "classify", "--type", "1", "--v", "1,0,0,-40", "--w", "0,0,0,1", "--json"]
+        code, out, err = run(capsys, *argv, "--max-parts", "80")
+        assert (code, err) == (0, "")
+        assert run(capsys, *argv, "--max-parts", "1000000000") == (0, out, "")
+
     def test_slice_rejects_negative_samples(self, capsys):
         code, out, err = run(
             capsys,
@@ -170,6 +178,30 @@ class TestOracle:
         entries = {(c["l1"], c["l2"], c["q"], c["b1"], c["b2"]) for c in payload["cases"]}
         assert (2, 2, 2, 1, 1) in entries
         assert (1, 2, 1, 2, 1) in entries
+
+    @pytest.mark.parametrize("bound", [cli.MAX_ORACLE_BOUND + 1, 10**12])
+    def test_bound_over_cap_exits_3(self, capsys, monkeypatch, bound):
+        # refused before the scan starts
+        monkeypatch.setattr(cli, "enumerate_equality_cases", _must_not_run)
+        code, out, err = run(
+            capsys, "oracle", "cases", "--m", "6", "--target", "0", "--bound", str(bound)
+        )
+        assert (code, out) == (3, "")
+        assert f"--bound {bound} exceeds the cap of {cli.MAX_ORACLE_BOUND}" in err
+
+    def test_bound_at_cap_is_scanned(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(m, target, bound):
+            assert bound == cli.MAX_ORACLE_BOUND
+            raise Started
+
+        monkeypatch.setattr(cli, "enumerate_equality_cases", started)
+        with pytest.raises(Started):
+            run_command(
+                ["oracle", "cases", "--m", "6", "--target", "0", "--bound", str(cli.MAX_ORACLE_BOUND)]
+            )
 
 
 def _must_not_run(*args, **kwargs):
@@ -286,7 +318,11 @@ def _joined(*parts):
 _SMALL = st.integers(-4, 4)
 _VECTOR = _value(_joined(_SMALL, _SMALL, _SMALL, _SMALL), _joined(_SMALL, _SMALL, _SMALL))
 _TYPE = ("--type", _value(st.integers(1, 7), st.sampled_from([-1, 0, 8, 9])))
-_MAX_PARTS = ("--max-parts", _value(st.integers(2, 4), st.integers(-1, 1)))
+# huge values: the witness walk takes one step per candidate or part, so they answer as fast as 4
+_MAX_PARTS = (
+    "--max-parts",
+    _value(st.one_of(st.integers(2, 4), st.sampled_from([10**9, 10**30])), st.integers(-1, 1)),
+)
 _JSON = ("--json", None)
 # (leading tokens, [(flag, value strategy, or None for a switch)])
 _GRAMMAR = [
@@ -304,7 +340,10 @@ _GRAMMAR = [
     (["oracle", "cases"], [
         ("--m", _value(st.sampled_from([2, 3, 4, 6]), st.sampled_from([0, 1, 5, 7]))),
         ("--target", _value(st.sampled_from([0, 1]), st.sampled_from([-1, 2]))),
-        ("--bound", _value(st.integers(1, 6), st.integers(-1, 0))),
+        ("--bound", _value(
+            st.integers(1, 6),
+            st.one_of(st.integers(-1, 0), st.sampled_from([cli.MAX_ORACLE_BOUND + 1, 10**12])),
+        )),
         _JSON,
     ]),
     (["atlas"], [

@@ -135,7 +135,7 @@ class TestCodimOracle:
             found += 1
             assert classify_wall(H).codim_bound == min_codim_oracle(H), (v.text(), w.text())
 
-    @pytest.mark.parametrize("n", [50, 60])
+    @pytest.mark.parametrize("n", [50, 60, 80, 100])
     def test_hilbert_chow_at_large_square(self, n):
         H = saturate_lattice(1, MukaiVector.of(1, 0, 0, -n), MukaiVector.of(0, 0, 0, 1))
         c = classify_wall(H)

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import isqrt
 
@@ -15,6 +16,7 @@ from bielliptic.walls import (
     INDETERMINATE,
     NO_WALL,
     P1_FIBRATION,
+    _decomposition_search,
     _positive_classes,
     approximate_isotropic_full_l,
     classify_wall,
@@ -31,9 +33,24 @@ def H_of(t, v, w):
     return saturate_lattice(t, MukaiVector.of(*v), MukaiVector.of(*w))
 
 
+def with_positive_square(r, a, b, lo, hi):
+    """(r, a, b, s) with s in [lo, hi] and v^2 = 2ab - 2rs > 0, i.e. rs < ab."""
+    return st.integers(lo, min(hi, (a * b - 1) // r)).map(lambda s: (r, a, b, s))
+
+
+# v = (r, a, b, s) in the box r in [1, 4], a, b, s in [-4, 4] with v^2 > 0,
+# drawn by construction: (r, a, b) among those leaving some s, then s
+_RAB = [
+    (r, a, b)
+    for r in range(1, 5)
+    for a in range(-4, 5)
+    for b in range(-4, 5)
+    if (a * b - 1) // r >= -4
+]
+
 raw_instances = st.tuples(
     surface_types,
-    st.tuples(st.integers(1, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+    st.sampled_from(_RAB).flatmap(lambda rab: with_positive_square(*rab, -4, 4)),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
 )
 
@@ -226,6 +243,98 @@ class TestCodimBound:
         if mukai_pairing(p1, p2) < 0:
             return
         assert hn_codim_bound(1, [p1, p2]) > 2
+
+
+def reference_search(H, max_parts):
+    """The first decomposition and the minimum bound, by listing them all."""
+    decomps = enumerate_decompositions(H, max_parts)
+    codim = min((hn_codim_bound(H.surface, list(d)) for d in decomps), default=None)
+    return (decomps[0] if decomps else None), codim
+
+
+def assert_matches_reference(H, max_parts):
+    first, codim = reference_search(H, max_parts)
+    assert _decomposition_search(H, max_parts) == (first, codim)
+    c = classify_wall(H, max_parts)
+    assert c.codim_bound == codim
+    for label in (FLOPPING, FAKE_WALL):
+        if label in c.labels:
+            assert c.witnesses[label] == first
+
+
+@st.composite
+def walls_up_to(draw, v2_max):
+    """(t, H) with 0 < v^2 <= v2_max, v drawn with r in [1, 8], a, b in [-8, 8]."""
+    r, a, b = draw(st.integers(1, 8)), draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+    # 0 < v^2 = 2ab - 2rs <= v2_max: s runs over an interval of length
+    # (v2_max / 2 - 1) / r >= 1
+    s = draw(st.integers(-((v2_max // 2 - a * b) // r), (a * b - 1) // r))
+    wt = draw(st.tuples(*[st.integers(-4, 4)] * 4))
+    inst = build_instance((draw(surface_types), (r, a, b, s), wt))
+    assume(inst is not None)
+    return inst
+
+
+class TestDecompositionSearch:
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_matches_reference_on_atlas_box(self, t):
+        checked = 0
+        for r in range(-3, 4):
+            for a in range(-2, 3):
+                for b in range(-2, 3):
+                    for s in range(-3, 4):
+                        v = MukaiVector.of(r, a, b, s)
+                        if square(v) <= 0:
+                            continue
+                        for w in (MukaiVector.of(0, 0, 0, 1), MukaiVector.of(1, 0, 0, 0)):
+                            try:
+                                H = saturate_lattice(t, v, w)
+                            except (PreconditionError, NotHyperbolicError):
+                                continue
+                            assert_matches_reference(H, 4)
+                            checked += 1
+        assert checked > 500
+
+    @given(walls_up_to(150), st.sampled_from([2, 3, 4]))
+    @example((1, H_of(1, (1, 0, 0, -30), (0, 0, 0, 1))), 4)
+    @example((7, H_of(7, (3, 2, -2, -2), (1, 0, 0, 0))), 3)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference_up_to_square_150(self, inst, max_parts):
+        _, H = inst
+        assert square(H.v) <= 150
+        assert_matches_reference(H, max_parts)
+
+    @given(raw_instances)
+    @settings(max_examples=40, deadline=None)
+    def test_reference_minimum_is_attained_by_two_parts(self, raw):
+        # the merge argument in _decomposition_search, checked on the listing
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        assert reference_search(H, 2)[1] == reference_search(H, 5)[1]
+
+    @given(raw_instances)
+    @settings(max_examples=40, deadline=None)
+    def test_max_parts_beyond_square_changes_nothing(self, raw):
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        v2 = square(H.v)
+        assert _decomposition_search(H, v2 + 1) == _decomposition_search(H, 10**18)
+        assert _decomposition_search(H, v2) == _decomposition_search(H, 10**18)
+
+    def test_rejects_fewer_than_two_parts(self):
+        with pytest.raises(PreconditionError):
+            _decomposition_search(H_of(1, (1, 0, 0, -2), (0, 0, 0, 1)), 1)
+
+    def test_hilbert_chow_400_is_fast(self):
+        # listing the decompositions here takes minutes (5.9 s at n = 200)
+        H = H_of(1, (1, 0, 0, -400), (0, 0, 0, 1))
+        start = time.perf_counter()
+        c = classify_wall(H)
+        assert time.perf_counter() - start < 10.0
+        assert c.labels == frozenset({HILBERT_CHOW})
+        assert c.codim_bound == 0
 
 
 class TestClassification:
