@@ -177,12 +177,8 @@ class QMukaiVector:
         return (self.r, self.c1.a, self.c1.b, self.s)
 
 
-def q_pairing(v: QMukaiVector, w: QMukaiVector) -> Fraction:
-    return v.c1.dot(w.c1) - v.r * w.s - w.r * v.s
-
-
 def pairing_with_rational(v: QMukaiVector, w: MukaiVector) -> Fraction:
-    return q_pairing(v, QMukaiVector.of(w.r, w.a, w.b, w.s))
+    return v.c1.a * w.b + w.a * v.c1.b - v.r * w.s - w.r * v.s
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Small exact integer linear algebra: Hermite reduction, kernels, saturation.
+"""Small exact integer linear algebra: Hermite reduction, extended gcd, saturation.
 
 Everything operates on lists of Python-int rows; sizes here are tiny
 (2x4 matrices), so simple Euclidean row reduction is plenty.
 """
+
+from itertools import combinations
+from math import gcd
 
 
 def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
@@ -42,38 +45,41 @@ def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
     return mat[:pivot_row]
 
 
-def kernel_basis(mat: list[list[int]]) -> list[list[int]]:
-    """Basis of the integer kernel {x : mat . x = 0}, canonically reduced."""
-    m, n = len(mat), len(mat[0])
-    # rows are [column j of mat | e_j]; reduce the first m columns away
-    work = [[mat[i][j] for i in range(m)] + [int(k == j) for k in range(n)] for j in range(n)]
-    rows = len(work)
-    pivot_row = 0
-    for col in range(m):
-        nz = [i for i in range(pivot_row, rows) if work[i][col] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(work[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = work[i][col] // work[base][col]
-                work[i] = [a - q * b for a, b in zip(work[i], work[base])]
-            nz = [i for i in nz if work[i][col] != 0]
-        work[pivot_row], work[nz[0]] = work[nz[0]], work[pivot_row]
-        pivot_row += 1
-    kernel = [row[m:] for row in work[pivot_row:]]
-    return hermite_rows(kernel)
+def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        quot, rem = divmod(a, b)
+        a, b = b, rem
+        x0, x1 = x1, x0 - quot * x1
+        y0, y1 = y1, y0 - quot * y1
+    if a < 0:
+        return -a, -x0, -y0
+    return a, x0, y0
 
 
 def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical basis of the saturation of the row lattice in Z^n.
+    """Canonical basis of the saturation of the lattice spanned by two rows.
 
-    The saturation is the set of integer vectors orthogonal (standard dot)
-    to everything orthogonal to the rows; two kernel computations.
+    With p = v / content(v) and d the gcd of the 2x2 minors of (p, w), the
+    saturation is spanned by p and (w + k*p) / d for k = -(y.w) mod d,
+    where y.p = 1 (see README, "The wall classifier").  Fewer than two
+    rows come back when the rows are linearly dependent (d = 0).
     """
-    ann = kernel_basis(rows)
-    if not ann:
-        n = len(rows[0])
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    return kernel_basis(ann)
+    v, w = rows
+    c = gcd(*v)
+    if c == 0:
+        return []
+    p = [x // c for x in v]
+    d = gcd(*(p[i] * w[j] - p[j] * w[i] for i, j in combinations(range(len(p)), 2)))
+    if d == 0:
+        return hermite_rows([p])
+    # y.p = g = gcd of the coordinates of p seen so far; stop once it is 1
+    g = yw = 0
+    for px, wx in zip(p, w):
+        g, a, b = ext_gcd(g, px)
+        yw = a * yw + b * wx
+        if g == 1:
+            break
+    k = -yw % d
+    return hermite_rows([p, [(wx + k * px) // d for px, wx in zip(p, w)]])

@@ -193,29 +193,20 @@ def locus_samples(locus: WallLocus, count: int) -> list[tuple[Fraction, Fraction
 # the numerical divisor class attached to a stability condition
 
 
-def charge_vector(sigma: GeometricStability) -> tuple[QMukaiVector, QMukaiVector]:
-    """Real and imaginary parts of exp(beta + i*omega) as rational vectors."""
-    beta, omega = sigma.beta, sigma.omega
-    re = QMukaiVector(
-        Fraction(1), beta, (beta.self_int() - omega.self_int()) / 2
-    )
-    im = QMukaiVector(Fraction(0), omega, beta.dot(omega))
-    return re, im
-
-
 def bayer_macri_class(t: int, v: MukaiVector, sigma: GeometricStability) -> QMukaiVector:
     """Im of exp(beta + i*omega) / Z(v), componentwise; pairs to zero with v."""
     z = central_charge(t, v, sigma)
     if z.is_zero():
         raise DegenerateChargeError(f"Z({v.text()}) = 0")
-    re_u, im_u = charge_vector(sigma)
+    beta, omega = sigma.beta, sigma.omega
     n = z.norm2()
-    # Im(U / z) = (Im(U) * Re(z) - Re(U) * Im(z)) / |z|^2
+    # exp(beta + i*omega) = U = (1, beta, (beta^2 - omega^2)/2) + i*(0, omega, beta.omega)
+    # and Im(U / z) = (Im(U) * Re(z) - Re(U) * Im(z)) / |z|^2
     def comp(re_c: Fraction, im_c: Fraction) -> Fraction:
         return (im_c * z.re - re_c * z.im) / n
 
     return QMukaiVector(
-        comp(re_u.r, im_u.r),
-        QDivisor(comp(re_u.c1.a, im_u.c1.a), comp(re_u.c1.b, im_u.c1.b)),
-        comp(re_u.s, im_u.s),
+        comp(1, 0),
+        QDivisor(comp(beta.a, omega.a), comp(beta.b, omega.b)),
+        comp((beta.self_int() - omega.self_int()) / 2, beta.dot(omega)),
     )

@@ -9,20 +9,19 @@ minimum of the filtration-stratum codimension bound over all of them,
 found by a max-weight search that does not list the decompositions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import (
     MukaiVector,
-    collinear,
     l_invariant,
     l_invariant_any,
     mukai_pairing,
     square,
 )
-from bielliptic.linalg import saturation_basis
+from bielliptic.linalg import ext_gcd, saturation_basis
 from bielliptic.surfaces import surface_invariants
 
 # classification labels
@@ -50,6 +49,11 @@ class HyperbolicPair:
     v: MukaiVector
     basis: tuple[MukaiVector, MukaiVector]
     gram: tuple[tuple[int, int], tuple[int, int]]
+    vxy: tuple[int, int] | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # v's coordinates in the basis (None if v is outside), computed once
+        object.__setattr__(self, "vxy", self.coords(self.v))
 
     def det(self) -> int:
         (g11, g12), (_, g22) = self.gram
@@ -96,11 +100,11 @@ class HyperbolicPair:
 def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
     """Saturation of span{v, w} with its Gram matrix; must be hyperbolic."""
     surface_invariants(t)
-    if collinear(v, w):
+    rows = saturation_basis([list(v.as_tuple()), list(w.as_tuple())])
+    if len(rows) < 2:
         raise PreconditionError(f"{v.text()} and {w.text()} are collinear")
     if square(v) <= 0:
         raise PreconditionError(f"need v^2 > 0, got v^2 = {square(v)}")
-    rows = saturation_basis([list(v.as_tuple()), list(w.as_tuple())])
     e1, e2 = (MukaiVector.of(*row) for row in rows)
     gram = (
         (square(e1), mukai_pairing(e1, e2)),
@@ -111,7 +115,7 @@ def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
         raise NotHyperbolicError(
             f"span of {v.text()}, {w.text()} has Gram determinant {pair.det()} >= 0"
         )
-    if pair.coords(v) is None:
+    if pair.vxy is None:
         raise AssertionError("saturation lost v; this is a bug")
     return pair
 
@@ -132,7 +136,7 @@ def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
     else:
         dirs = [(-g12 + k, g11), (-g12 - k, g11)]
     out = []
-    vxy = H.coords(H.v)
+    vxy = H.vxy
     for x, y in dirs:
         g = gcd(x, y)
         x, y = x // g, y // g
@@ -142,19 +146,6 @@ def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
         if u not in out:
             out.append(u)
     return sorted(out, key=MukaiVector.as_tuple)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        quot, rem = divmod(a, b)
-        a, b = b, rem
-        x0, x1 = x1, x0 - quot * x1
-        y0, y1 = y1, y0 - quot * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
 
 
 def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
@@ -167,9 +158,9 @@ def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, in
     concave quadratic in t, whose integer interval of nonnegative values
     comes from isqrt exactly.  The cost is O(pairing_cap / g + #points).
     """
-    vxy = H.coords(H.v)
+    vxy = H.vxy
     cA, cB = H.pair(vxy, (1, 0)), H.pair(vxy, (0, 1))
-    g, ex, ey = _ext_gcd(cA, cB)
+    g, ex, ey = ext_gcd(cA, cB)
     n = (cB // g, -cA // g)
     neg_n2 = -H.q(n)
     assert neg_n2 > 0
@@ -204,7 +195,7 @@ def enumerate_decompositions(
     """
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
-    vxy = H.coords(H.v)
+    vxy = H.vxy
     v2 = H.q(vxy)
     candidates = _positive_classes(H, v2 - 1)
     index = {p: idx for idx, p in enumerate(candidates)}
@@ -293,7 +284,7 @@ def _decomposition_search(
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
     t = H.surface
     ordk = surface_invariants(t).ord_k
-    vxy = H.coords(H.v)
+    vxy = H.vxy
     vx, vy = vxy
     v2 = H.q(vxy)
     weight = {}  # w(p) for p in C, keyed by coordinates

@@ -70,19 +70,46 @@ def build_instance(raw):
 class TestSaturation:
     def test_already_saturated(self):
         H = H_of(1, (1, 0, 0, -2), (0, 0, 0, 1))
-        assert {e.as_tuple() for e in H.basis} == {(1, 0, 0, 0), (0, 0, 0, 1)}
-        assert H.gram in (((0, -1), (-1, 0)), ((0, -1), (-1, 0)))
+        assert [e.as_tuple() for e in H.basis] == [(1, 0, 0, 0), (0, 0, 0, 1)]
+        assert H.gram == ((0, -1), (-1, 0))
         assert H.det() == -1
+        assert H.vxy == (1, -2)
 
     def test_index_two_sublattice(self):
         H = H_of(1, (2, 0, 0, -2), (2, 0, 0, 0))
-        assert H.coords(MukaiVector.of(1, 0, 0, -1)) is not None
-        assert H.coords(MukaiVector.of(1, 0, 0, 0)) is not None
+        assert [e.as_tuple() for e in H.basis] == [(1, 0, 0, 0), (0, 0, 0, 1)]
+        assert H.gram == ((0, -1), (-1, 0))
+        assert H.coords(MukaiVector.of(1, 0, 0, -1)) == (1, -1)
+        assert H.coords(MukaiVector.of(1, 0, 0, 0)) == (1, 0)
+
+    def test_index_two_with_reduced_entries(self):
+        # v = e1 + e2 and w = 2*e2 for the HNF basis e1 = (2,0,1,-1), e2 = (0,1,0,1)
+        H = H_of(1, (2, 1, 1, 0), (0, 2, 0, 2))
+        assert [e.as_tuple() for e in H.basis] == [(2, 0, 1, -1), (0, 1, 0, 1)]
+        assert H.gram == ((4, -1), (-1, 0))
+        assert H.vxy == (1, 1)
+
+    def test_index_six_non_primitive_v(self):
+        # v = 2*e1 and w = 3*e2: the span has index 6 in its saturation
+        H = H_of(1, (2, 2, 4, -2), (0, 6, 0, 3))
+        assert [e.as_tuple() for e in H.basis] == [(1, 1, 2, -1), (0, 2, 0, 1)]
+        assert H.gram == ((6, 3), (3, 0))
+        assert H.vxy == (2, 0)
+
+    def test_cached_coordinates_with_plain_constructor(self):
+        H = H_of(1, (1, 0, 0, -1), (0, 0, 0, 1))
+        outside = type(H)(
+            surface=1, v=MukaiVector.of(1, 1, 0, 0), basis=H.basis, gram=H.gram
+        )
+        assert outside.vxy is None
+        assert type(H)(surface=1, v=H.v, basis=H.basis, gram=H.gram) == H
 
     def test_collinear_rejected(self):
         v = MukaiVector.of(1, 0, 0, -1)
-        with pytest.raises(PreconditionError):
-            saturate_lattice(1, v, 2 * v)
+        zero = MukaiVector.of(0, 0, 0, 0)
+        for pair in [(v, 2 * v), (3 * v, -2 * v), (zero, v), (v, zero)]:
+            with pytest.raises(PreconditionError, match="collinear"):
+                saturate_lattice(1, *pair)
 
     def test_nonpositive_square_rejected(self):
         with pytest.raises(PreconditionError):
