@@ -6,36 +6,3 @@ pullbacks, cohomological actions of the relative Fourier-Mukai transforms,
 rank-2 wall lattices with their classification, non-emptiness/dimension/
 singularity reports, and a brute-force oracle for the case enumerations.
 """
-
-from bielliptic.errors import (
-    BiellipticError,
-    DegenerateChargeError,
-    InvalidSurfaceError,
-    NotHyperbolicError,
-    PreconditionError,
-)
-from bielliptic.surfaces import SurfaceData, surface_invariants
-from bielliptic.lattice import (
-    DivisorClass,
-    MukaiVector,
-    QDivisor,
-    QMukaiVector,
-    mukai_pairing,
-    square,
-)
-
-__all__ = [
-    "BiellipticError",
-    "DegenerateChargeError",
-    "DivisorClass",
-    "InvalidSurfaceError",
-    "MukaiVector",
-    "NotHyperbolicError",
-    "PreconditionError",
-    "QDivisor",
-    "QMukaiVector",
-    "SurfaceData",
-    "mukai_pairing",
-    "square",
-    "surface_invariants",
-]

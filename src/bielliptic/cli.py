@@ -265,6 +265,10 @@ def _cmd_oracle_cases(args) -> int:
 
 
 def _cmd_atlas(args) -> int:
+    # the sweep skips rows that are not walls, so a bad flag must fail here
+    surface_invariants(args.type)
+    if args.max_parts < 2:
+        raise PreconditionError(f"max_parts must be >= 2, got {args.max_parts}")
     bounds = [int(x) for x in args.bounds.split(",")]
     if len(bounds) != 4 or any(b < 0 for b in bounds):
         raise PreconditionError(f"--bounds wants R,A,B,S nonnegative, got {args.bounds}")

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from bielliptic.errors import PreconditionError
-from bielliptic.surfaces import surface_invariants, surface_type_for
+from bielliptic.surfaces import surface_invariants
 
 
 @dataclass(frozen=True)
@@ -21,16 +21,9 @@ class DivisorClass:
     a: int
     b: int
 
-    def dot(self, other: "DivisorClass") -> int:
-        return self.a * other.b + other.a * self.b
-
     def self_int(self) -> int:
         """D^2 = 2ab, always even."""
         return 2 * self.a * self.b
-
-
-A0 = DivisorClass(1, 0)
-B0 = DivisorClass(0, 1)
 
 
 class MukaiVector:
@@ -93,9 +86,6 @@ class MukaiVector:
             raise PreconditionError("zero vector has no primitive part")
         return n, MukaiVector(self.r // n, self.a // n, self.b // n, self.s // n)
 
-    def is_zero(self) -> bool:
-        return self.r == 0 and self.a == 0 and self.b == 0 and self.s == 0
-
     def text(self) -> str:
         """Wire format: four comma-separated integers r,a,b,s."""
         return f"{self.r},{self.a},{self.b},{self.s}"
@@ -126,6 +116,23 @@ def square(v: MukaiVector) -> int:
     return mukai_pairing(v, v)
 
 
+def primitive_isotropic_in_series(r: int, D: DivisorClass) -> MukaiVector:
+    """The unique primitive isotropic vector (n*r, n*D, s) in the series.
+
+    Requires r >= 1 and gcd(r, a, b) = 1.  n is the least positive integer
+    making s = n * D^2 / (2r) = n*a*b/r integral; minimality forces the
+    result primitive.
+    """
+    if r < 1:
+        raise PreconditionError(f"need r >= 1, got {r}")
+    if gcd(gcd(r, D.a), D.b) != 1:
+        raise PreconditionError(f"need gcd(r, a, b) = 1, got r={r}, D=({D.a},{D.b})")
+    ab = D.a * D.b
+    n0 = r // gcd(r, ab) if ab != 0 else 1
+    s0 = n0 * ab // r
+    return MukaiVector.of(n0 * r, n0 * D.a, n0 * D.b, s0)
+
+
 # ---------------------------------------------------------------------------
 # rational variants (carry omega, beta, xi_sigma)
 
@@ -147,42 +154,33 @@ class QDivisor:
     def self_int(self) -> Fraction:
         return 2 * self.a * self.b
 
-    def __add__(self, other: "QDivisor") -> "QDivisor":
-        return QDivisor(self.a + other.a, self.b + other.b)
-
-    def __neg__(self) -> "QDivisor":
-        return QDivisor(-self.a, -self.b)
-
-    def __rmul__(self, c) -> "QDivisor":
-        c = Fraction(c)
-        return QDivisor(c * self.a, c * self.b)
-
     def is_ample(self) -> bool:
         return self.a > 0 and self.b > 0
 
 
 @dataclass(frozen=True)
 class QMukaiVector:
-    """Mukai vector with exact rational entries."""
+    """Mukai vector (r, a*A0 + b*B0, s) with exact rational entries."""
 
     r: Fraction
-    c1: QDivisor
+    a: Fraction
+    b: Fraction
     s: Fraction
 
     @classmethod
     def of(cls, r, a, b, s) -> "QMukaiVector":
-        return cls(Fraction(r), QDivisor.of(a, b), Fraction(s))
+        return cls(Fraction(r), Fraction(a), Fraction(b), Fraction(s))
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.r, self.c1.a, self.c1.b, self.s)
+        return (self.r, self.a, self.b, self.s)
 
 
 def pairing_with_rational(v: QMukaiVector, w: MukaiVector) -> Fraction:
-    return v.c1.a * w.b + w.a * v.c1.b - v.r * w.s - w.r * v.s
+    return v.a * w.b + w.a * v.b - v.r * w.s - w.r * v.s
 
 
 # ---------------------------------------------------------------------------
-# canonical cover and intermediate covers
+# canonical cover
 
 
 @dataclass(frozen=True)
@@ -247,112 +245,3 @@ def pullback_canonical(t: int, v: MukaiVector) -> CoverMukaiVector:
         s=d.ord_k * v.s,
         lam=d.lam,
     )
-
-
-def pullback_intermediate(
-    t: int, kind: str, v: MukaiVector, d: int | None = None
-) -> tuple[MukaiVector, int]:
-    """Pullback to an intermediate etale cover; returns (vector, its type).
-
-    kind="order-divisor" with a proper divisor d of ord(K): the target has
-    canonical order ord(K)/d and the same lambda, and B0 pulls back to
-    d copies of the target's B0.  kind="lambda-cover" (lambda > 1 only):
-    the target has lambda = 1 and the same canonical order, and A0 pulls
-    back lambda-fold.
-    """
-    data = surface_invariants(t)
-    if kind == "order-divisor":
-        if d is None or d <= 1 or d >= data.ord_k or data.ord_k % d != 0:
-            raise PreconditionError(
-                f"need a proper divisor of ord_k={data.ord_k}, got d={d}"
-            )
-        target = surface_type_for(data.ord_k // d, data.lam)
-        return MukaiVector.of(v.r, v.a, d * v.b, d * v.s), target
-    if kind == "lambda-cover":
-        if data.lam == 1:
-            raise PreconditionError(f"type {t} has lambda = 1; no lambda-cover")
-        target = surface_type_for(data.ord_k, 1)
-        return MukaiVector.of(v.r, data.lam * v.a, v.b, data.lam * v.s), target
-    raise PreconditionError(f"unknown cover kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# divisor numerics and slope
-
-
-@dataclass(frozen=True)
-class DivisorNumerics:
-    chi: int
-    ample: bool
-    effective_cone_ok: bool
-    d_pA: int
-    d_pB: int
-
-
-def divisor_numerics(t: int, D: DivisorClass) -> DivisorNumerics:
-    """chi(O(D)) = D^2/2 = ab, ampleness, the effective-cone necessary
-    condition, and the two fibre degrees c1.B = lam*a and c1.A = ord*b."""
-    d = surface_invariants(t)
-    return DivisorNumerics(
-        chi=D.a * D.b,
-        ample=D.a > 0 and D.b > 0,
-        effective_cone_ok=D.a >= 0 and D.b >= 0,
-        d_pA=d.lam * D.a,
-        d_pB=d.ord_k * D.b,
-    )
-
-
-class _PositiveInfinity:
-    """Slope of a rank-zero object; larger than every rational."""
-
-    def __gt__(self, other):
-        return not isinstance(other, _PositiveInfinity)
-
-    def __lt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return True
-
-    def __le__(self, other):
-        return isinstance(other, _PositiveInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _PositiveInfinity)
-
-    def __hash__(self):
-        return hash("slope+inf")
-
-    def __repr__(self):
-        return "+inf"
-
-
-SLOPE_INFINITY = _PositiveInfinity()
-
-
-def slope(v: MukaiVector, omega: QDivisor, beta: QDivisor):
-    """Twisted slope omega.(c1 - r*beta) / r, or +inf for rank zero."""
-    if not omega.is_ample():
-        raise PreconditionError(f"omega must be ample, got {omega}")
-    if v.r == 0:
-        return SLOPE_INFINITY
-    c1 = QDivisor.of(v.a, v.b)
-    shifted = QDivisor(c1.a - v.r * beta.a, c1.b - v.r * beta.b)
-    return omega.dot(shifted) / Fraction(v.r)
-
-
-def primitive_isotropic_in_series(r: int, D: DivisorClass) -> MukaiVector:
-    """The unique primitive isotropic vector (n*r, n*D, s) in the series.
-
-    Requires r >= 1 and gcd(r, a, b) = 1.  n is the least positive integer
-    making s = n * D^2 / (2r) = n*a*b/r integral; minimality forces the
-    result primitive.
-    """
-    if r < 1:
-        raise PreconditionError(f"need r >= 1, got {r}")
-    if gcd(gcd(r, D.a), D.b) != 1:
-        raise PreconditionError(f"need gcd(r, a, b) = 1, got r={r}, D=({D.a},{D.b})")
-    ab = D.a * D.b
-    n0 = r // gcd(r, ab) if ab != 0 else 1
-    s0 = n0 * ab // r
-    return MukaiVector.of(n0 * r, n0 * D.a, n0 * D.b, s0)

@@ -1,7 +1,7 @@
 """Exact central charges for geometric stability conditions.
 
 Z_{omega,beta}(v) = <exp(beta + i*omega), v> computed over Q(i) with exact
-rationals; same-ray tests are sign tests on cross products, never phases.
+rationals.
 Wall loci are restricted to the slice beta = x*H0, omega = y*H0 (y > 0),
 where the vanishing of Im(Z(w) * conj(Z(v))) / y is the circle/line
 
@@ -53,9 +53,6 @@ class ComplexRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def __add__(self, other: "ComplexRational") -> "ComplexRational":
-        return ComplexRational(self.re + other.re, self.im + other.im)
-
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
@@ -73,16 +70,6 @@ def central_charge(t: int, v: MukaiVector, sigma: GeometricStability) -> Complex
     return ComplexRational(Fraction(re), Fraction(im))
 
 
-def same_ray(t: int, v: MukaiVector, w: MukaiVector, sigma: GeometricStability) -> bool:
-    """Exact test that Z(w) lies on the open ray through Z(v)."""
-    zv = central_charge(t, v, sigma)
-    if zv.is_zero():
-        raise DegenerateChargeError(f"Z({v.text()}) = 0")
-    zw = central_charge(t, w, sigma)
-    cross = zw * zv.conj()
-    return cross.im == 0 and cross.re > 0
-
-
 # ---------------------------------------------------------------------------
 # wall loci in the (x, y) slice
 
@@ -94,9 +81,6 @@ class QuadraticLocus:
     alpha: int
     beta: int
     gamma: int
-
-    def value_at(self, x: Fraction, y: Fraction) -> Fraction:
-        return self.alpha * (x * x + y * y) + self.beta * x + self.gamma
 
 
 class _Everywhere:
@@ -207,6 +191,7 @@ def bayer_macri_class(t: int, v: MukaiVector, sigma: GeometricStability) -> QMuk
 
     return QMukaiVector(
         comp(1, 0),
-        QDivisor(comp(beta.a, omega.a), comp(beta.b, omega.b)),
+        comp(beta.a, omega.a),
+        comp(beta.b, omega.b),
         comp((beta.self_int() - omega.self_int()) / 2, beta.dot(omega)),
     )

@@ -29,25 +29,12 @@ _TABLE: dict[int, SurfaceData] = {
     7: SurfaceData(ord_k=6, lam=1, g_order=6, multiplicities=(2, 3, 6)),
 }
 
-_BY_INVARIANTS = {(d.ord_k, d.lam): t for t, d in _TABLE.items()}
-
-
 def surface_invariants(t: int) -> SurfaceData:
     """Return the invariant row for surface type ``t`` (1..7)."""
     try:
         return _TABLE[t]
     except (KeyError, TypeError):
         raise InvalidSurfaceError(f"surface type must be in 1..7, got {t!r}") from None
-
-
-def surface_type_for(ord_k: int, lam: int) -> int:
-    """Inverse lookup: the unique type with the given (ord_k, lambda)."""
-    try:
-        return _BY_INVARIANTS[(ord_k, lam)]
-    except KeyError:
-        raise InvalidSurfaceError(
-            f"no bielliptic family has ord_k={ord_k}, lambda={lam}"
-        ) from None
 
 
 def all_types() -> tuple[int, ...]:

@@ -4,7 +4,10 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -230,6 +233,23 @@ class TestAtlas:
         with pytest.raises(Started):
             run_command(["atlas", "--type", "1", "--bounds", "8,8,8,8", "--w", "0,0,0,1"])
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--type", "9"], "surface type must be in 1..7, got 9"),
+            (["--type", "1", "--max-parts", "1"], "max_parts must be >= 2, got 1"),
+        ],
+        ids=["type", "max-parts"],
+    )
+    def test_bad_flag_exits_3_before_the_sweep(self, capsys, monkeypatch, flags, message):
+        # the sweep skips rows that fail a precondition; a bad flag must not
+        # reach it and come out as an empty CSV with exit 0
+        monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "classify_wall", _must_not_run)
+        code, out, err = run(capsys, "atlas", *flags, "--bounds", "1,1,1,1", "--w", "0,0,0,1")
+        assert (code, out) == (3, "")
+        assert message in err
+
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -268,6 +288,28 @@ class TestAtlas:
         )
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == golden[str(t)]
+
+
+class TestEntryPoint:
+    """`python -m bielliptic.cli` and the package import, each in a fresh interpreter."""
+
+    @staticmethod
+    def _python(*args):
+        env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    def test_module_entry_matches_in_process(self, capsys):
+        argv = ["info", "--type", "7", "--json"]
+        proc = self._python("-m", "bielliptic.cli", *argv)
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stderr) == (code, err) == (0, "")
+        assert proc.stdout == out
+
+    def test_package_imports(self):
+        proc = self._python("-c", "import bielliptic")
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def _bench_workloads():

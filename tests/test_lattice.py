@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -9,16 +8,11 @@ from bielliptic.errors import PreconditionError
 from bielliptic.lattice import (
     DivisorClass,
     MukaiVector,
-    QDivisor,
-    SLOPE_INFINITY,
     collinear,
-    divisor_numerics,
     l_invariant,
     mukai_pairing,
     primitive_isotropic_in_series,
     pullback_canonical,
-    pullback_intermediate,
-    slope,
     square,
 )
 from bielliptic.surfaces import all_types, surface_invariants
@@ -71,7 +65,6 @@ class TestFlatValue:
 
     def test_primitive_part(self):
         assert MukaiVector(4, -2, 6, 0).primitive_part() == (2, MukaiVector(2, -1, 3, 0))
-        assert MukaiVector(0, 0, 0, 0).is_zero()
         with pytest.raises(PreconditionError):
             MukaiVector(0, 0, 0, 0).primitive_part()
 
@@ -129,52 +122,6 @@ class TestPullbacks:
     def test_pairing_scaling(self, t, v, w):
         ordk = surface_invariants(t).ord_k
         assert pullback_canonical(t, v).pairing(pullback_canonical(t, w)) == ordk * mukai_pairing(v, w)
-
-    def test_intermediate_order_divisor(self):
-        vi, ti = pullback_intermediate(4, "order-divisor", MukaiVector.of(2, 1, 1, 0), d=2)
-        assert vi == MukaiVector.of(2, 1, 2, 0)
-        assert surface_invariants(ti).ord_k == 2
-
-    def test_intermediate_lambda_cover(self):
-        vi, ti = pullback_intermediate(6, "lambda-cover", MukaiVector.of(3, 1, 0, 0))
-        assert vi == MukaiVector.of(3, 3, 0, 0)
-        assert surface_invariants(ti).lam == 1
-
-    def test_intermediate_invalid_divisor(self):
-        with pytest.raises(PreconditionError):
-            pullback_intermediate(3, "order-divisor", MukaiVector.of(1, 0, 0, 0), d=4)
-        with pytest.raises(PreconditionError):
-            pullback_intermediate(1, "lambda-cover", MukaiVector.of(1, 0, 0, 0))
-
-
-class TestDivisorNumerics:
-    def test_ample_class(self):
-        n = divisor_numerics(1, DivisorClass(1, 1))
-        assert (n.chi, n.ample, n.d_pA, n.d_pB) == (1, True, 1, 2)
-
-    def test_zero_class(self):
-        n = divisor_numerics(3, DivisorClass(0, 0))
-        assert (n.chi, n.ample, n.effective_cone_ok) == (0, False, True)
-
-    def test_multisection_degree(self):
-        assert divisor_numerics(2, DivisorClass(1, 0)).d_pA == 2
-
-
-class TestSlope:
-    def test_rank_two(self):
-        assert slope(MukaiVector.of(2, 0, 1, 0), QDivisor.of(1, 1), QDivisor.of(0, 0)) == Fraction(1, 2)
-
-    def test_rank_zero_is_infinite(self):
-        mu = slope(MukaiVector.of(0, 0, 1, 3), QDivisor.of(2, 5), QDivisor.of(1, 1))
-        assert mu is SLOPE_INFINITY
-        assert mu > Fraction(10**9)
-
-    def test_trivial(self):
-        assert slope(MukaiVector.of(1, 0, 0, 0), QDivisor.of(1, 1), QDivisor.of(0, 0)) == 0
-
-    def test_needs_ample(self):
-        with pytest.raises(PreconditionError):
-            slope(MukaiVector.of(1, 0, 0, 0), QDivisor.of(1, 0), QDivisor.of(0, 0))
 
 
 class TestIsotropicSeries:

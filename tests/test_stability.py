@@ -21,7 +21,6 @@ from bielliptic.stability import (
     bayer_macri_class,
     central_charge,
     locus_samples,
-    same_ray,
     slice_charge,
     wall_in_slice,
 )
@@ -68,26 +67,6 @@ class TestCentralCharge:
         zw = central_charge(t, w, sigma)
         zvw = central_charge(t, v + w, sigma)
         assert (zvw.re, zvw.im) == (zv.re + zw.re, zv.im + zw.im)
-
-
-class TestSameRay:
-    def test_reflexive(self):
-        assert same_ray(1, MukaiVector.of(1, 2, 3, 4), MukaiVector.of(1, 2, 3, 4), SIGMA)
-
-    def test_opposite_ray(self):
-        # Z((2,0,1)) = 1, Z((0,0,1)) = -1
-        assert not same_ray(1, MukaiVector.of(0, 0, 0, 1), MukaiVector.of(2, 0, 0, 1), SIGMA)
-
-    def test_positive_scaling(self):
-        assert same_ray(1, MukaiVector.of(0, 0, 0, 1), MukaiVector.of(0, 0, 0, 3), SIGMA)
-
-    def test_degenerate_charge(self):
-        # Z((1,0,-1)) at beta=0, omega with omega^2 = 2: 1 - 2/2... pick charge zero
-        v = MukaiVector.of(1, 0, 0, 1)  # Z = -1 + 1 = 0 at omega^2 = 2? re = -s + w^2/2 = -1+1
-        z = central_charge(1, v, SIGMA)
-        assert z.is_zero()
-        with pytest.raises(DegenerateChargeError):
-            same_ray(1, v, MukaiVector.of(1, 0, 0, 0), SIGMA)
 
 
 class TestWallInSlice:
@@ -194,5 +173,8 @@ class TestBayerMacri:
         assert xi2.as_tuple() == tuple(c / 2 for c in xi1.as_tuple())
 
     def test_degenerate_charge(self):
+        # Z = -s + r*omega^2/2 + i*0 vanishes for (1, 0, 1) at omega = A0 + B0
+        v = MukaiVector.of(1, 0, 0, 1)
+        assert central_charge(1, v, SIGMA).is_zero()
         with pytest.raises(DegenerateChargeError):
-            bayer_macri_class(1, MukaiVector.of(1, 0, 0, 1), SIGMA)
+            bayer_macri_class(1, v, SIGMA)

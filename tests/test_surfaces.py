@@ -1,7 +1,7 @@
 import pytest
 
 from bielliptic.errors import InvalidSurfaceError
-from bielliptic.surfaces import all_types, surface_invariants, surface_type_for
+from bielliptic.surfaces import all_types, surface_invariants
 
 
 def test_registry_rows():
@@ -33,11 +33,3 @@ def test_composite_order_and_lambda_subsets():
 def test_invalid_index(bad):
     with pytest.raises(InvalidSurfaceError):
         surface_invariants(bad)
-
-
-def test_inverse_lookup():
-    for t in all_types():
-        d = surface_invariants(t)
-        assert surface_type_for(d.ord_k, d.lam) == t
-    with pytest.raises(InvalidSurfaceError):
-        surface_type_for(6, 3)
