@@ -12,7 +12,8 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import prod
+from itertools import combinations
+from math import gcd, prod
 
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import (
@@ -27,7 +28,7 @@ from bielliptic.oracle import enumerate_equality_cases
 from bielliptic.stability import EVERYWHERE, NOWHERE, locus_samples, wall_in_slice
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
-from bielliptic.walls import classify_wall, saturate_lattice
+from bielliptic.walls import HyperbolicPair, classify_wall, saturate_lattice
 
 SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
@@ -264,9 +265,22 @@ def _cmd_oracle_cases(args) -> int:
     return 0
 
 
+def _plane_key(v: tuple, w: tuple) -> tuple | None:
+    """The primitive Pluecker vector of span{v, w}: the six 2x2 minors over
+    their gcd, first nonzero entry positive; None when v, w are collinear."""
+    minors = [v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(4), 2)]
+    g = gcd(*minors)
+    if g == 0:
+        return None
+    if next(m for m in minors if m) < 0:
+        g = -g
+    return tuple(m // g for m in minors)
+
+
 def _cmd_atlas(args) -> int:
     # the sweep skips rows that are not walls, so a bad flag must fail here
-    surface_invariants(args.type)
+    t = args.type
+    surface_invariants(t)
     if args.max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {args.max_parts}")
     bounds = [int(x) for x in args.bounds.split(",")]
@@ -278,6 +292,13 @@ def _cmd_atlas(args) -> int:
             f"--bounds {args.bounds} spans {box} vectors, over the cap of {MAX_ATLAS_VECTORS}"
         )
     generators = [MukaiVector.parse(w) for w in args.w]
+    for w in generators:
+        if w.content() == 0:
+            raise PreconditionError(f"--w {w.text()} is the zero vector; it spans no wall")
+    # The saturation of span{v, w}, and so its Hermite basis and Gram matrix,
+    # depends only on the plane: saturate each plane once, or remember that
+    # it is not a wall lattice.
+    planes: dict[tuple, tuple | None] = {}
     rb, ab, bb, sb = bounds
     rows = []
     for r in range(-rb, rb + 1):
@@ -288,21 +309,30 @@ def _cmd_atlas(args) -> int:
                     if square(v) <= 0:
                         continue
                     for w in generators:
-                        try:
-                            payload = _classification_payload(
-                                args.type, v, w, args.max_parts
-                            )
-                        except PreconditionError:
+                        key = _plane_key((r, a, b, s), w.as_tuple())
+                        if key is None:
                             continue
-                        codim = payload["codim_bound"]
+                        if key in planes:
+                            known = planes[key]
+                            if known is None:
+                                continue
+                            H = HyperbolicPair(t, v, *known)
+                        else:
+                            try:
+                                H = saturate_lattice(t, v, w)
+                            except PreconditionError:
+                                planes[key] = None
+                                continue
+                            planes[key] = (H.basis, H.gram)
+                        c = classify_wall(H, max_parts=args.max_parts)
                         rows.append(
                             (
-                                args.type,
+                                t,
                                 v.text(),
                                 w.text(),
-                                str(payload["totally_semistable"]).lower(),
-                                ";".join(payload["labels"]),
-                                "inf" if codim is None else str(codim),
+                                "true" if c.totally_semistable else "false",
+                                ";".join(sorted(c.labels)),
+                                "inf" if c.codim_bound is None else str(c.codim_bound),
                             )
                         )
     rows.sort()

@@ -157,27 +157,32 @@ def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, in
     spans v's orthogonal complement, so q(n) < 0.  q(j*e + t*n) is then a
     concave quadratic in t, whose integer interval of nonnegative values
     comes from isqrt exactly.  The cost is O(pairing_cap / g + #points).
+    The points are distinct (different lines or different t), and they
+    come back sorted by (x, y).
     """
-    vxy = H.vxy
-    cA, cB = H.pair(vxy, (1, 0)), H.pair(vxy, (0, 1))
+    (g11, g12), (_, g22) = H.gram
+    vx, vy = H.vxy
+    cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy
     g, ex, ey = ext_gcd(cA, cB)
-    n = (cB // g, -cA // g)
-    neg_n2 = -H.q(n)
+    nx, ny = cB // g, -cA // g
+    neg_n2 = -(g11 * nx * nx + 2 * g12 * nx * ny + g22 * ny * ny)
     assert neg_n2 > 0
+    # q(j*e + t*n) = j^2 q(e) + 2 b t - neg_n2 t^2 with b = j <e, n>, so
+    # q >= 0 iff |neg_n2 t - b| <= sqrt(j^2 D), D = <e, n>^2 - q(e) q(n);
+    # that is -det(gram) det(e, n)^2, and det(e, n) = -1
+    en = g11 * ex * nx + g12 * (ex * ny + ey * nx) + g22 * ey * ny
+    D = g12 * g12 - g11 * g22
     found = []
     for j in range(1, pairing_cap // g + 1):
-        base = (j * ex, j * ey)
-        # q(base + t*n) = q(base) + 2*b*t - neg_n2*t^2 with b = <base, n>
-        b = H.pair(base, n)
-        disc = b * b + neg_n2 * H.q(base)
-        if disc < 0:
-            continue
-        s = isqrt(disc)
-        for t in range(-((s - b) // neg_n2), (b + s) // neg_n2 + 1):
-            p = (base[0] + t * n[0], base[1] + t * n[1])
-            if H.q(p) >= 0:
-                found.append(p)
-    return sorted(set(found))
+        b = j * en
+        s = isqrt(j * j * D)
+        bx, by = j * ex, j * ey
+        found.extend(
+            (bx + t * nx, by + t * ny)
+            for t in range(-((s - b) // neg_n2), (b + s) // neg_n2 + 1)
+        )
+    found.sort()
+    return found
 
 
 def enumerate_decompositions(
@@ -260,7 +265,10 @@ def _decomposition_search(
     parts form the set C of positive classes p with q(v - p) >= 0.  C is
     closed under p -> v - p, so each member lies in the decomposition
     {p, v - p}, and a remainder rem - c left by members rem and c can be
-    completed exactly when it lies in C.
+    completed exactly when it lies in C.  Since q(v - p) = v^2 - 2<v, p>
+    + q(p), every positive class with <v, p> <= v^2/2 is in C, and every
+    other member p has v - p on such a line; so C = half + (v - half)
+    with half the positive classes on the lines <v, p> <= v^2/2.
 
     Since sum_{i<j} <p_i, p_j> = (v^2 - sum p_i^2) / 2, a decomposition's
     bound is v^2/2 - sum w(p_i), with w(p) = p^2/2 for p^2 > 0 and
@@ -282,39 +290,49 @@ def _decomposition_search(
     """
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
-    t = H.surface
-    ordk = surface_invariants(t).ord_k
-    vxy = H.vxy
-    vx, vy = vxy
-    v2 = H.q(vxy)
-    weight = {}  # w(p) for p in C, keyed by coordinates
-    parts = []
-    for xy in _positive_classes(H, v2 - 1):
-        sq = H.q(xy)
-        if v2 - 2 * H.pair(vxy, xy) + sq < 0:  # q(v - p) < 0
-            continue
-        p = H.from_coords(*xy)
-        weight[xy] = sq // 2 if sq else l_invariant_any(t, p) // ordk
-        parts.append((p, xy))
-    if not parts:
+    data = surface_invariants(H.surface)
+    ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
+    (g11, g12), (_, g22) = H.gram
+    (r1, a1, b1, s1), (r2, a2, b2, s2) = (e.as_tuple() for e in H.basis)
+    vr, va, vb, vs = H.v.as_tuple()
+    vx, vy = H.vxy
+    cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy  # <v, (x, y)> = cA*x + cB*y
+    v2 = cA * vx + cB * vy
+    half = _positive_classes(H, v2 // 2)
+    if not half:
         return None, None
-    most = max(w + weight[(vx - x, vy - y)] for (x, y), w in weight.items())
+    # (r, a, b, s) of each member of C, keyed by coordinates
+    rabs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+    most = 0
+    for x, y in half:
+        pr, pa, pb, ps = x * r1 + y * r2, x * a1 + y * a2, x * b1 + y * b2, x * s1 + y * s2
+        qr, qa, qb, qs = vr - pr, va - pa, vb - pb, vs - ps
+        sq = g11 * x * x + 2 * g12 * x * y + g22 * y * y
+        rest_sq = v2 - 2 * (cA * x + cB * y) + sq
+        w = (
+            (sq // 2 if sq else gcd(pr, pa, mb * pb, ordk * ps) // ordk)
+            + (rest_sq // 2 if rest_sq else gcd(qr, qa, mb * qb, ordk * qs) // ordk)
+        )
+        if w > most:
+            most = w
+        rabs[(x, y)] = (pr, pa, pb, ps)
+        rabs[(vx - x, vy - y)] = (qr, qa, qb, qs)
 
-    parts.sort(key=lambda part: part[0].as_tuple())
-    first: list[MukaiVector] = []
-    rem, left, idx = vxy, max_parts, 0
+    order = sorted(rabs, key=rabs.__getitem__)
+    first = []
+    rem, left, idx = (vx, vy), max_parts, 0
     while True:
-        p, c = parts[idx]
+        c = order[idx]
         if c == rem:
-            first.append(p)
+            first.append(c)
             break
         rest = (rem[0] - c[0], rem[1] - c[1])
-        if left >= 2 and rest in weight:
-            first.append(p)
+        if left >= 2 and rest in rabs:
+            first.append(c)
             rem, left = rest, left - 1
         else:
             idx += 1
-    return tuple(first), v2 // 2 - most
+    return tuple(MukaiVector(*rabs[c]) for c in first), v2 // 2 - most
 
 
 @dataclass(frozen=True)

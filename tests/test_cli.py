@@ -16,6 +16,7 @@ import hypothesis.strategies as st
 
 from bielliptic import cli, transforms
 from bielliptic.cli import run_command
+from bielliptic.errors import PreconditionError
 from bielliptic.lattice import MukaiVector, square
 from bielliptic.transforms import TransformLog
 
@@ -238,13 +239,15 @@ class TestAtlas:
         [
             (["--type", "9"], "surface type must be in 1..7, got 9"),
             (["--type", "1", "--max-parts", "1"], "max_parts must be >= 2, got 1"),
+            (["--type", "1", "--w", "0,0,0,0"], "--w 0,0,0,0 is the zero vector"),
         ],
-        ids=["type", "max-parts"],
+        ids=["type", "max-parts", "zero-generator"],
     )
     def test_bad_flag_exits_3_before_the_sweep(self, capsys, monkeypatch, flags, message):
         # the sweep skips rows that fail a precondition; a bad flag must not
         # reach it and come out as an empty CSV with exit 0
         monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
         monkeypatch.setattr(cli, "classify_wall", _must_not_run)
         code, out, err = run(capsys, "atlas", *flags, "--bounds", "1,1,1,1", "--w", "0,0,0,1")
         assert (code, out) == (3, "")
@@ -280,14 +283,51 @@ class TestAtlas:
     @pytest.mark.parametrize("t", range(1, 8))
     def test_golden_digests(self, capsys, t):
         with open(FIXTURES.parent / "bench" / "golden.json") as fh:
-            golden = json.load(fh)["atlas"]["0,0,0,1;1,0,0,0"]
-        code, out, err = run(
-            capsys,
-            "atlas", "--type", str(t), "--bounds", "3,2,2,3",
-            "--w", "0,0,0,1", "--w", "1,0,0,0",
-        )
+            golden = json.load(fh)["atlas"]
+        assert len(golden) == 7
+        for pair, digests in sorted(golden.items()):
+            w1, w2 = pair.split(";")
+            code, out, err = run(
+                capsys, "atlas", "--type", str(t), "--bounds", "3,2,2,3", "--w", w1, "--w", w2
+            )
+            assert (code, err) == (0, ""), pair
+            assert hashlib.sha256(out.encode()).hexdigest() == digests[str(t)], pair
+
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_rows_match_one_wall_at_a_time(self, capsys, t):
+        # The sweep saturates each plane once.  A non-primitive generator
+        # (0,0,0,2 beside 0,0,0,1), a non-isotropic one (1,1,1,0) and a
+        # repeated one put many rows on a plane seen before; each row must
+        # still equal the wall classified on its own.
+        generators = ["0,0,0,1", "0,0,0,2", "1,1,1,0", "1,0,0,0", "0,0,0,1"]
+        argv = ["atlas", "--type", str(t), "--bounds", "2,1,1,2"]
+        code, out, err = run(capsys, *argv, *(f for w in generators for f in ("--w", w)))
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == golden[str(t)]
+        expected = []
+        for r in range(-2, 3):
+            for a in range(-1, 2):
+                for b in range(-1, 2):
+                    for s in range(-2, 3):
+                        v = MukaiVector(r, a, b, s)
+                        if square(v) <= 0:
+                            continue
+                        for w in generators:
+                            try:
+                                p = cli._classification_payload(t, v, MukaiVector.parse(w), 4)
+                            except PreconditionError:
+                                continue
+                            codim = p["codim_bound"]
+                            expected.append(
+                                [
+                                    str(t), p["v"], p["w"],
+                                    "true" if p["totally_semistable"] else "false",
+                                    ";".join(p["labels"]),
+                                    "inf" if codim is None else str(codim),
+                                ]
+                            )
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert len(rows) > 100
+        assert rows == sorted(expected)
 
 
 class TestEntryPoint:

@@ -6,11 +6,14 @@ installs it, checks that a traced wall lattice records the layers the
 benchmark reports, and removes it again.
 """
 
+import contextlib
 import importlib.util
+import io
 import pathlib
+from fractions import Fraction
 
-from bielliptic import lattice, linalg, walls
-from bielliptic.lattice import MukaiVector
+from bielliptic import cli, lattice, linalg, walls
+from bielliptic.lattice import MukaiVector, square
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -52,3 +55,56 @@ def test_tracer_installs_and_removes():
         "walls.isotropic_rays",
         "walls.classify_wall.v2_le_20",
     } <= set(tracer.stats)
+
+
+def plane(v, w):
+    """The reduced row echelon form of the rows v, w over Q, or None if they
+    are collinear: one key per plane, computed apart from the library."""
+    rows = [[Fraction(x) for x in v], [Fraction(x) for x in w]]
+    lead = []
+    for col in range(4):
+        i = len(lead)
+        pivot = next((k for k in range(i, 2) if rows[k][col]), None)
+        if pivot is None:
+            continue
+        rows[i], rows[pivot] = rows[pivot], rows[i]
+        rows[i] = [x / rows[i][col] for x in rows[i]]
+        for k in range(2):
+            if k != i and rows[k][col]:
+                rows[k] = [a - rows[k][col] * b for a, b in zip(rows[k], rows[i])]
+        lead.append(col)
+        if len(lead) == 2:
+            return tuple(map(tuple, rows))
+    return None
+
+
+def test_atlas_saturates_each_plane_once():
+    generators = ["0,0,0,1", "1,2,1,2", "0,0,0,2"]
+    argv = ["atlas", "--type", "2", "--bounds", "2,1,1,2"]
+    planes, rows = set(), 0
+    for r in range(-2, 3):
+        for a in range(-1, 2):
+            for b in range(-1, 2):
+                for s in range(-2, 3):
+                    v = MukaiVector(r, a, b, s)
+                    if square(v) <= 0:
+                        continue
+                    for w in generators:
+                        key = plane(v.as_tuple(), MukaiVector.parse(w).as_tuple())
+                        if key is not None:
+                            planes.add(key)
+                            rows += 1
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer)
+    try:
+        tracer.on = True
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run_command([*argv, *(f for w in generators for f in ("--w", w))])
+        tracer.on = False
+    finally:
+        installed.remove()
+    assert code == 0
+    assert rows > 2 * len(planes)
+    assert tracer.stats["walls.saturate_lattice"][0] == len(planes)
+    assert tracer.stats["linalg.saturation_basis"][0] == len(planes)

@@ -328,8 +328,15 @@ class TestDecompositionSearch:
     @settings(max_examples=80, deadline=None)
     def test_matches_reference_up_to_square_150(self, inst, max_parts):
         _, H = inst
-        assert square(H.v) <= 150
+        v2 = square(H.v)
+        assert v2 <= 150
         assert_matches_reference(H, max_parts)
+        # the search walks only the lines <v, p> <= v^2/2: the parts p with
+        # q(v - p) >= 0 are those classes and v minus each of them
+        vx, vy = H.vxy
+        C = {p for p in _positive_classes(H, v2 - 1) if H.q((vx - p[0], vy - p[1])) >= 0}
+        half = _positive_classes(H, v2 // 2)
+        assert C == set(half) | {(vx - x, vy - y) for x, y in half}
 
     @given(raw_instances)
     @settings(max_examples=40, deadline=None)
