@@ -12,8 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, prod
+from math import prod
 
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import (
@@ -21,6 +20,7 @@ from bielliptic.lattice import (
     MukaiVector,
     l_invariant,
     mukai_pairing,
+    plane_key,
     square,
 )
 from bielliptic.moduli import bridgeland_nonempty, gieseker_report, singularity_report
@@ -265,24 +265,10 @@ def _cmd_oracle_cases(args) -> int:
     return 0
 
 
-def _plane_key(v: tuple, w: tuple) -> tuple | None:
-    """The primitive Pluecker vector of span{v, w}: the six 2x2 minors over
-    their gcd, first nonzero entry positive; None when v, w are collinear."""
-    minors = [v[i] * w[j] - v[j] * w[i] for i, j in combinations(range(4), 2)]
-    g = gcd(*minors)
-    if g == 0:
-        return None
-    if next(m for m in minors if m) < 0:
-        g = -g
-    return tuple(m // g for m in minors)
-
-
 def _cmd_atlas(args) -> int:
     # the sweep skips rows that are not walls, so a bad flag must fail here
     t = args.type
     surface_invariants(t)
-    if args.max_parts < 2:
-        raise PreconditionError(f"max_parts must be >= 2, got {args.max_parts}")
     bounds = [int(x) for x in args.bounds.split(",")]
     if len(bounds) != 4 or any(b < 0 for b in bounds):
         raise PreconditionError(f"--bounds wants R,A,B,S nonnegative, got {args.bounds}")
@@ -309,7 +295,7 @@ def _cmd_atlas(args) -> int:
                     if square(v) <= 0:
                         continue
                     for w in generators:
-                        key = _plane_key((r, a, b, s), w.as_tuple())
+                        key = plane_key(v, w)
                         if key is None:
                             continue
                         if key in planes:
@@ -324,7 +310,7 @@ def _cmd_atlas(args) -> int:
                                 planes[key] = None
                                 continue
                             planes[key] = (H.basis, H.gram)
-                        c = classify_wall(H, max_parts=args.max_parts)
+                        c = classify_wall(H)
                         rows.append(
                             (
                                 t,
@@ -425,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_type(p)
     p.add_argument("--bounds", required=True, help="R,A,B,S box bounds")
     p.add_argument("--w", action="append", required=True, help="generator (repeatable)")
-    p.add_argument("--max-parts", type=int, default=4, dest="max_parts")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=_cmd_atlas)
 

@@ -104,12 +104,22 @@ def mukai_pairing(v: MukaiVector, w: MukaiVector) -> int:
     return v.a * w.b + w.a * v.b - v.r * w.s - w.r * v.s
 
 
-def collinear(v: MukaiVector, w: MukaiVector) -> bool:
-    """True iff v and w are linearly dependent (all 2x2 minors vanish)."""
-    vt, wt = v.as_tuple(), w.as_tuple()
-    return all(
-        vt[i] * wt[j] == vt[j] * wt[i] for i in range(4) for j in range(i + 1, 4)
+def plane_key(v: MukaiVector, w: MukaiVector) -> tuple[int, ...] | None:
+    """The primitive Pluecker vector of span{v, w}: the six 2x2 minors in
+    (r, a, b, s) column-pair order over their gcd, first nonzero entry
+    positive.  It names the plane; None when v, w are collinear."""
+    r, a, b, s = v.r, v.a, v.b, v.s
+    r2, a2, b2, s2 = w.r, w.a, w.b, w.s
+    minors = (
+        r * a2 - a * r2, r * b2 - b * r2, r * s2 - s * r2,
+        a * b2 - b * a2, a * s2 - s * a2, b * s2 - s * b2,
     )
+    g = gcd(*minors)
+    if g == 0:
+        return None
+    if next(m for m in minors if m) < 0:
+        g = -g
+    return tuple(m // g for m in minors)
 
 
 def square(v: MukaiVector) -> int:

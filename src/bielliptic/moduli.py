@@ -119,7 +119,8 @@ class SingularityReport:
 # rows below the terminal threshold, keyed on (ord_k, v^2); an entry is
 # (condition, class, required l(v) or None).  Conditions mentioning the
 # cover sheaf F and the cyclic deck action g are not decidable from the
-# class alone and are reported verbatim.
+# class alone and are reported verbatim.  Every entry has a row with no
+# l(v) condition, so a report always has a case.
 _SMALL_CASE_TABLE: dict[tuple[int, int], list[tuple[str, SingClass, int | None]]] = {
     (2, 2): [
         ("cover summand forced isotropic with ext^1 = 2; codim Sing = 1", SingClass.POSSIBLY_NON_NORMAL, None),
@@ -244,8 +245,4 @@ def singularity_report(
         for cond, klass, need_l in rows
         if need_l is None or lv == need_l
     )
-    if not cases:
-        # every conditional row was pruned by divisibility; the remaining
-        # possibility class is the strongest row of the table
-        cases = (SingularityCase(rows[-1][0], rows[-1][1]),)
     return SingularityReport(cases=cases, sing_dim_bound=bound)

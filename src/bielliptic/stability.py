@@ -18,7 +18,7 @@ from bielliptic.lattice import (
     MukaiVector,
     QDivisor,
     QMukaiVector,
-    collinear,
+    plane_key,
 )
 from bielliptic.surfaces import surface_invariants
 
@@ -120,7 +120,7 @@ def wall_in_slice(t: int, v: MukaiVector, w: MukaiVector, H0: DivisorClass) -> W
     surface_invariants(t)
     if not (H0.a > 0 and H0.b > 0):
         raise PreconditionError(f"H0 must be ample, got ({H0.a},{H0.b})")
-    if collinear(v, w):
+    if plane_key(v, w) is None:
         raise PreconditionError("v and w are collinear; the wall locus is degenerate")
     P = H0.self_int()
     dv = H0.a * v.b + v.a * H0.b

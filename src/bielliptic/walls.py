@@ -60,23 +60,28 @@ class HyperbolicPair:
         return g11 * g22 - g12 * g12
 
     def coords(self, p: MukaiVector) -> tuple[int, int] | None:
-        """Integer coordinates of p in the basis, or None if p is outside."""
+        """Integer coordinates of p in the basis, or None if p is outside.
+
+        x is read off e1's pivot column i (its first nonzero entry), since
+        p_i = x * e1_i when e2_i = 0; then y is read off e2's pivot column,
+        and all four coordinates are checked.  Precondition: e2 is zero in
+        e1's pivot column, as in the Hermite basis that saturate_lattice
+        builds.
+        """
         e1, e2 = self.basis
-        a, b = e1.as_tuple(), e2.as_tuple()
-        pt = p.as_tuple()
-        for i in range(4):
-            for j in range(i + 1, 4):
-                det = a[i] * b[j] - a[j] * b[i]
-                if det == 0:
-                    continue
-                xn = pt[i] * b[j] - pt[j] * b[i]
-                yn = a[i] * pt[j] - a[j] * pt[i]
-                if xn % det or yn % det:
-                    return None
-                x, y = xn // det, yn // det
-                if (x * e1 + y * e2) == p:
-                    return (x, y)
-                return None
+        a, b, pt = e1.as_tuple(), e2.as_tuple(), p.as_tuple()
+        i = 0
+        while not a[i]:
+            i += 1
+        j = 0
+        while not b[j]:
+            j += 1
+        x = pt[i] // a[i]
+        y = (pt[j] - x * a[j]) // b[j]
+        if (
+            x * a[0] + y * b[0], x * a[1] + y * b[1], x * a[2] + y * b[2], x * a[3] + y * b[3]
+        ) == pt:
+            return (x, y)
         return None
 
     def from_coords(self, x: int, y: int) -> MukaiVector:
@@ -142,9 +147,7 @@ def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
         x, y = x // g, y // g
         if H.pair(vxy, (x, y)) < 0:
             x, y = -x, -y
-        u = H.from_coords(x, y)
-        if u not in out:
-            out.append(u)
+        out.append(H.from_coords(x, y))
     return sorted(out, key=MukaiVector.as_tuple)
 
 
@@ -361,7 +364,7 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
     lv = l_invariant_any(t, v)
     rays = isotropic_rays(H)
-    info = [(u, mukai_pairing(v, u), l_invariant(t, u)) for u in rays]
+    info = [(u, mukai_pairing(v, u), l_invariant_any(t, u)) for u in rays]
 
     tss1 = tuple(u for u, q, l in info if q == 1 and l == ordk)
     tss2 = tuple(
@@ -472,11 +475,9 @@ def _full_l_candidate(t: int, r: int, Da: int, Db: int, index: int) -> MukaiVect
     mod = 2 ** (x + i + k) * 3 ** (y + j + l)
     if gcd(r1, mod) != 1:
         return None
-    rtil = pow(r1, -1, mod) if mod > 1 else 0
+    rtil = pow(r1, -1, mod)  # in [0, mod), so ntil >= 1
     for bump in range(1, 65):
         ntil = mod * bump - rtil
-        if ntil <= 0:
-            continue
         denom = ntil * r1 + 1
         v0 = _ray_generator(Fraction(ntil * d1a, denom), Fraction(ntil * d1b, denom))
         if v0.r >= 1 and l_invariant(t, v0) == ordk:

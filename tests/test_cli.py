@@ -238,10 +238,9 @@ class TestAtlas:
         "flags, message",
         [
             (["--type", "9"], "surface type must be in 1..7, got 9"),
-            (["--type", "1", "--max-parts", "1"], "max_parts must be >= 2, got 1"),
             (["--type", "1", "--w", "0,0,0,0"], "--w 0,0,0,0 is the zero vector"),
         ],
-        ids=["type", "max-parts", "zero-generator"],
+        ids=["type", "zero-generator"],
     )
     def test_bad_flag_exits_3_before_the_sweep(self, capsys, monkeypatch, flags, message):
         # the sweep skips rows that fail a precondition; a bad flag must not
@@ -252,6 +251,19 @@ class TestAtlas:
         code, out, err = run(capsys, "atlas", *flags, "--bounds", "1,1,1,1", "--w", "0,0,0,1")
         assert (code, out) == (3, "")
         assert message in err
+
+    def test_max_parts_flag_exits_2_before_the_sweep(self, capsys, monkeypatch):
+        # atlas takes no --max-parts: a row reads only whether a witness
+        # exists and the codimension bound, and neither depends on it
+        monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
+        monkeypatch.setattr(cli, "classify_wall", _must_not_run)
+        code, out, err = run(
+            capsys,
+            "atlas", "--type", "1", "--max-parts", "4", "--bounds", "1,1,1,1", "--w", "0,0,0,1",
+        )
+        assert (code, out) == (2, "")
+        assert "--max-parts" in err
 
     def test_unwritable_out_exits_2(self, capsys, tmp_path):
         code, out, err = run(
@@ -436,7 +448,6 @@ _GRAMMAR = [
         )),
         ("--w", _VECTOR),
         ("--w", _VECTOR),
-        _MAX_PARTS,
         ("--out", _value(st.just("atlas.csv"), st.sampled_from([".", "no/such/dir/atlas.csv"]))),
     ]),
 ]
@@ -465,6 +476,7 @@ def _argvs(draw):
 @example(["pair", "--type=1", "--v=0,0,0,0", "--w=--"])
 @example(["wall", "slice", "--type=1", "--v=1,0,0,-1", "--w=0,0,0,-1", "--H0=1,1", "--emit-samples=--"])
 @example(["atlas", "--type=1", "--bounds=0,0,0,1", "--w=0,0,0,1", "--w=--"])
+@example(["atlas", "--type=1", "--bounds=0,0,0,1", "--w=0,0,0,1", "--max-parts=4"])
 @settings(max_examples=600, deadline=None)
 def test_fuzzed_argv_ends_in_a_named_exit(argv):
     out, err = io.StringIO(), io.StringIO()

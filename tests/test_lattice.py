@@ -1,20 +1,21 @@
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 import hypothesis.strategies as st
 
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import (
     DivisorClass,
     MukaiVector,
-    collinear,
     l_invariant,
     mukai_pairing,
+    plane_key,
     primitive_isotropic_in_series,
     pullback_canonical,
     square,
 )
+from bielliptic.linalg import saturation_basis
 from bielliptic.surfaces import all_types, surface_invariants
 
 from conftest import mukai_vectors, primitive_vectors, surface_types
@@ -70,12 +71,21 @@ class TestFlatValue:
 
     @given(mukai_vectors(), st.integers(-5, 5))
     def test_collinear_with_multiples(self, v, n):
-        assert collinear(v, n * v)
-        assert collinear(v, MukaiVector(0, 0, 0, 0))
+        assert plane_key(v, n * v) is None
+        assert plane_key(v, MukaiVector(0, 0, 0, 0)) is None
 
     def test_independent_vectors_are_not_collinear(self):
-        assert not collinear(MukaiVector(1, 0, 0, -2), MukaiVector(0, 0, 0, 1))
-        assert not collinear(MukaiVector(1, 2, 0, 0), MukaiVector(1, 0, 2, 0))
+        assert plane_key(MukaiVector(1, 0, 0, -2), MukaiVector(0, 0, 0, 1)) == (0, 0, 1, 0, 0, 0)
+        assert plane_key(MukaiVector(1, 2, 0, 0), MukaiVector(1, 0, 2, 0)) == (1, -1, 0, -2, 0, 0)
+
+    @given(mukai_vectors(), mukai_vectors(), st.integers(-5, 5))
+    def test_plane_key_names_the_plane(self, v, w, k):
+        key = plane_key(v, w)
+        assume(key is not None)
+        assert plane_key(w, v) == key
+        assert plane_key(v, w + k * v) == key
+        e1, e2 = saturation_basis([list(v.as_tuple()), list(w.as_tuple())])
+        assert plane_key(MukaiVector(*e1), MukaiVector(*e2)) == key
 
 
 class TestLInvariant:

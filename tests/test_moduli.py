@@ -6,6 +6,7 @@ from hypothesis import given
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import MukaiVector, l_invariant, square
 from bielliptic.moduli import (
+    _SMALL_CASE_TABLE,
     SingClass,
     bridgeland_nonempty,
     gieseker_report,
@@ -121,6 +122,15 @@ class TestSingularities:
     def test_rejects_non_primitive(self):
         with pytest.raises(PreconditionError):
             singularity_report(1, MukaiVector.of(2, 0, 0, -2))
+
+    def test_small_case_table_covers_every_small_square_unconditionally(self):
+        # keys: every (ord_k, v^2) below the terminal threshold 3 * ord_k;
+        # each entry keeps a row with no l(v) condition, so no report is empty
+        assert set(_SMALL_CASE_TABLE) == {
+            (ordk, v2) for ordk in (2, 3, 4, 6) for v2 in range(2, 3 * ordk, 2)
+        }
+        for key, rows in _SMALL_CASE_TABLE.items():
+            assert any(need_l is None for _, _, need_l in rows), key
 
     @given(surface_types, primitive_vectors())
     def test_total_and_monotone(self, t, v):

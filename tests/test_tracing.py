@@ -1,12 +1,15 @@
-"""The traced benchmark run patches library functions by name.
+"""The benchmark reaches library functions by name.
 
 `bench/tracing.py` looks each one up as a module attribute, so deleting or
 renaming one breaks every `--trace 1` run.  This loads the tracer by path,
 installs it, checks that a traced wall lattice records the layers the
-benchmark reports, and removes it again.
+benchmark reports, and removes it again.  `bench/workloads.py` calls the
+library directly; its names are checked from its source.
 """
 
+import ast
 import contextlib
+import importlib
 import importlib.util
 import io
 import pathlib
@@ -16,6 +19,7 @@ from bielliptic import cli, lattice, linalg, walls
 from bielliptic.lattice import MukaiVector, square
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+WORKLOADS = TRACING.parent / "workloads.py"
 
 
 def load_tracing():
@@ -108,3 +112,30 @@ def test_atlas_saturates_each_plane_once():
     assert rows > 2 * len(planes)
     assert tracer.stats["walls.saturate_lattice"][0] == len(planes)
     assert tracer.stats["linalg.saturation_basis"][0] == len(planes)
+
+
+def test_workloads_use_only_names_that_exist():
+    # every name imported from bielliptic, and every <owner>.<name> read off
+    # one of them (a module such as walls, or a class such as MukaiVector)
+    tree = ast.parse(WORKLOADS.read_text())
+    owners = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bielliptic":
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                if node.module == "bielliptic":
+                    owner = importlib.import_module(f"bielliptic.{alias.name}")
+                else:
+                    assert hasattr(source, alias.name), f"{node.module}.{alias.name}"
+                    owner = getattr(source, alias.name)
+                owners[alias.asname or alias.name] = owner
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in owners
+    }
+    assert {("walls", "classify_wall"), ("MukaiVector", "parse"), ("cli", "run_command")} <= used
+    missing = sorted(f"{o}.{n}" for o, n in used if not hasattr(owners[o], n))
+    assert missing == []

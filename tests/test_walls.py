@@ -1,3 +1,4 @@
+import hashlib
 import time
 from fractions import Fraction
 from math import isqrt
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import MukaiVector, l_invariant, mukai_pairing, square
+from bielliptic.linalg import hermite_rows
 from bielliptic.surfaces import surface_invariants
 from bielliptic.walls import (
     FAKE_WALL,
@@ -126,6 +128,61 @@ class TestSaturation:
         assume(inst is not None)
         _, H = inst
         assert H.det() < 0
+
+
+def reference_coords(H, p):
+    """Coordinates of p by a search over the six 2x2 minors of the basis:
+    the first nonzero one solves for (x, y), then the solution is checked."""
+    e1, e2 = H.basis
+    a, b = e1.as_tuple(), e2.as_tuple()
+    pt = p.as_tuple()
+    for i in range(4):
+        for j in range(i + 1, 4):
+            det = a[i] * b[j] - a[j] * b[i]
+            if det == 0:
+                continue
+            xn = pt[i] * b[j] - pt[j] * b[i]
+            yn = a[i] * pt[j] - a[j] * pt[i]
+            if xn % det or yn % det:
+                return None
+            x, y = xn // det, yn // det
+            if (x * e1 + y * e2) == p:
+                return (x, y)
+            return None
+    return None
+
+
+class TestPivotCoordinates:
+    @given(raw_instances)
+    def test_matches_the_minor_search(self, raw):
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        e1, e2 = H.basis
+        v = H.v
+        inside = [v, e1 + e2]
+        for u in isotropic_rays(H):
+            inside += [u, v - u]
+        for p in inside:
+            assert H.coords(p) is not None
+            assert H.coords(p) == reference_coords(H, p), p
+        for k in range(4):
+            unit = MukaiVector.of(*(int(i == k) for i in range(4)))
+            if len(hermite_rows([e1.as_tuple(), e2.as_tuple(), unit.as_tuple()])) == 3:
+                assert H.coords(v + unit) is None
+                assert reference_coords(H, v + unit) is None
+
+    @given(raw_instances)
+    def test_saturated_basis_is_hermite(self, raw):
+        # the precondition of the pivot read
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        a, b = (e.as_tuple() for e in H.basis)
+        i = next(k for k in range(4) if a[k])
+        j = next(k for k in range(4) if b[k])
+        assert a[i] > 0 and b[j] > 0
+        assert i < j and b[i] == 0
 
 
 class TestIsotropicRays:
@@ -454,6 +511,16 @@ class TestClassification:
         assert "LGUOrd2Divisorial" in c.labels
 
 
+_APPROXIMATION_SEEDS = [
+    (1, (1, 0, 0, 0)),
+    (2, (2, 1, 0, 0)),
+    (3, (2, 0, 1, 0)),
+    (5, (3, 0, 1, 0)),
+    (6, (3, 1, 0, 0)),
+    (7, (5, 0, 2, 0)),
+]
+
+
 class TestIsotropicApproximation:
     def test_rank_one_seed(self):
         v0, gap = approximate_isotropic_full_l(1, MukaiVector.of(1, 0, 0, 0), 1)
@@ -470,17 +537,7 @@ class TestIsotropicApproximation:
         with pytest.raises(PreconditionError):
             approximate_isotropic_full_l(1, MukaiVector.of(2, 0, 2, 0), 1)
 
-    @pytest.mark.parametrize(
-        "t,seed",
-        [
-            (1, (1, 0, 0, 0)),
-            (2, (2, 1, 0, 0)),
-            (3, (2, 0, 1, 0)),
-            (5, (3, 0, 1, 0)),
-            (6, (3, 1, 0, 0)),
-            (7, (5, 0, 2, 0)),
-        ],
-    )
+    @pytest.mark.parametrize("t,seed", _APPROXIMATION_SEEDS)
     def test_monotone_sweep(self, t, seed):
         ordk = surface_invariants(t).ord_k
         prev = None
@@ -492,3 +549,13 @@ class TestIsotropicApproximation:
             if prev is not None:
                 assert gap <= prev
             prev = gap
+
+    def test_sweep_is_pinned(self):
+        # v0 and gap for every seed at n = 1..20, as a digest of their text
+        lines = []
+        for t, seed in _APPROXIMATION_SEEDS:
+            for n in range(1, 21):
+                v0, gap = approximate_isotropic_full_l(t, MukaiVector.of(*seed), n)
+                lines.append(f"{t} {n} {v0.text()} {gap}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "42b25f21c95fe3f7f2a30683dac687d7a5e08684d4a799557480ab069010cc3a"
