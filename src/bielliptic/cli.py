@@ -265,32 +265,29 @@ def _cmd_oracle_cases(args) -> int:
     return 0
 
 
-def _cmd_atlas(args) -> int:
-    # the sweep skips rows that are not walls, so a bad flag must fail here
-    t = args.type
-    surface_invariants(t)
-    bounds = [int(x) for x in args.bounds.split(",")]
-    if len(bounds) != 4 or any(b < 0 for b in bounds):
-        raise PreconditionError(f"--bounds wants R,A,B,S nonnegative, got {args.bounds}")
-    box = prod(2 * b + 1 for b in bounds)
-    if box > MAX_ATLAS_VECTORS:
-        raise PreconditionError(
-            f"--bounds {args.bounds} spans {box} vectors, over the cap of {MAX_ATLAS_VECTORS}"
-        )
-    generators = [MukaiVector.parse(w) for w in args.w]
-    for w in generators:
-        if w.content() == 0:
-            raise PreconditionError(f"--w {w.text()} is the zero vector; it spans no wall")
+def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[tuple]:
+    """The unsorted CSV rows of every wall (v, w) with v in the box."""
     # The saturation of span{v, w}, and so its Hermite basis and Gram matrix,
     # depends only on the plane: saturate each plane once, or remember that
     # it is not a wall lattice.
     planes: dict[tuple, tuple | None] = {}
     rb, ab, bb, sb = bounds
     rows = []
-    for r in range(-rb, rb + 1):
+    # The shift [1] acts on the lattice as p -> -p, so -v's row is v's:
+    # plane_key normalises sign, so -v has v's plane (basis, Gram matrix,
+    # coordinates negated); its rays are -u with <-v, -u> = <v, u> and
+    # l(-u) = l(u), and v^2, l(v), primitivity and the mod-3 test on v - u
+    # keep their values, so tss and every ray clause fire alike; its
+    # positive classes are the negatives of v's with the same weights, so
+    # a decomposition exists for both or neither, with one codim bound.
+    # Only the witnesses differ, and a row prints none.  So classify the v
+    # whose first nonzero entry is positive, and write its row twice.
+    for r in range(rb + 1):
         for a in range(-ab, ab + 1):
             for b in range(-bb, bb + 1):
                 for s in range(-sb, sb + 1):
+                    if (r, a, b, s) <= (0, 0, 0, 0):
+                        continue
                     v = MukaiVector.of(r, a, b, s)
                     if square(v) <= 0:
                         continue
@@ -311,22 +308,41 @@ def _cmd_atlas(args) -> int:
                                 continue
                             planes[key] = (H.basis, H.gram)
                         c = classify_wall(H)
-                        rows.append(
-                            (
-                                t,
-                                v.text(),
-                                w.text(),
-                                "true" if c.totally_semistable else "false",
-                                ";".join(sorted(c.labels)),
-                                "inf" if c.codim_bound is None else str(c.codim_bound),
-                            )
+                        row = (
+                            w.text(),
+                            "true" if c.totally_semistable else "false",
+                            ";".join(sorted(c.labels)),
+                            "inf" if c.codim_bound is None else str(c.codim_bound),
                         )
-    rows.sort()
+                        rows.append((t, v.text(), *row))
+                        rows.append((t, (-v).text(), *row))
+    return rows
+
+
+def _cmd_atlas(args) -> int:
+    # the sweep skips rows that are not walls, so a bad flag must fail here
+    t = args.type
+    surface_invariants(t)
+    bounds = [int(x) for x in args.bounds.split(",")]
+    if len(bounds) != 4 or any(b < 0 for b in bounds):
+        raise PreconditionError(f"--bounds wants R,A,B,S nonnegative, got {args.bounds}")
+    box = prod(2 * b + 1 for b in bounds)
+    if box > MAX_ATLAS_VECTORS:
+        raise PreconditionError(
+            f"--bounds {args.bounds} spans {box} vectors, over the cap of {MAX_ATLAS_VECTORS}"
+        )
+    generators = [MukaiVector.parse(w) for w in args.w]
+    for w in generators:
+        if w.content() == 0:
+            raise PreconditionError(f"--w {w.text()} is the zero vector; it spans no wall")
+    # open --out before the sweep, so an unwritable path costs no work
     try:
         out = open(args.out, "w", newline="") if args.out else sys.stdout
     except OSError as e:
         raise ValueError(f"--out {args.out}: {e.strerror}") from None
     try:
+        rows = _atlas_rows(t, bounds, generators)
+        rows.sort()
         writer = csv.writer(out)
         writer.writerow(["type", "v", "w", "tss", "labels", "codim_bound"])
         writer.writerows(rows)

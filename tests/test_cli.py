@@ -239,16 +239,22 @@ class TestAtlas:
         [
             (["--type", "9"], "surface type must be in 1..7, got 9"),
             (["--type", "1", "--w", "0,0,0,0"], "--w 0,0,0,0 is the zero vector"),
+            (["--type", "1", "--bounds", "1,1,1"], "--bounds wants R,A,B,S nonnegative"),
         ],
-        ids=["type", "zero-generator"],
+        ids=["type", "zero-generator", "bounds"],
     )
-    def test_bad_flag_exits_3_before_the_sweep(self, capsys, monkeypatch, flags, message):
+    def test_bad_flag_exits_3_before_the_sweep(self, capsys, monkeypatch, tmp_path, flags, message):
         # the sweep skips rows that fail a precondition; a bad flag must not
-        # reach it and come out as an empty CSV with exit 0
+        # reach it and come out as an empty CSV with exit 0.  It also wins
+        # over an --out that cannot be opened (exit 2).
         monkeypatch.setattr(cli, "square", _must_not_run)
         monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
         monkeypatch.setattr(cli, "classify_wall", _must_not_run)
-        code, out, err = run(capsys, "atlas", *flags, "--bounds", "1,1,1,1", "--w", "0,0,0,1")
+        code, out, err = run(
+            capsys,
+            "atlas", "--bounds", "1,1,1,1", "--w", "0,0,0,1", *flags,
+            "--out", str(tmp_path / "no" / "such" / "dir.csv"),
+        )
         assert (code, out) == (3, "")
         assert message in err
 
@@ -265,10 +271,15 @@ class TestAtlas:
         assert (code, out) == (2, "")
         assert "--max-parts" in err
 
-    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+    def test_unwritable_out_exits_2(self, capsys, monkeypatch, tmp_path):
+        # --out is opened before the sweep: a box this size would take seconds
+        monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
+        monkeypatch.setattr(cli, "classify_wall", _must_not_run)
         code, out, err = run(
             capsys,
-            "atlas", "--type", "1", "--bounds", "0,0,0,1", "--w", "0,0,0,1",
+            "atlas", "--type", "1", "--bounds", "8,8,8,8",
+            "--w", "0,0,0,1", "--w", "1,0,0,0", "--w", "1,1,1,1",
             "--out", str(tmp_path / "no" / "such" / "dir.csv"),
         )
         assert (code, out) == (2, "")
@@ -305,21 +316,35 @@ class TestAtlas:
             assert (code, err) == (0, ""), pair
             assert hashlib.sha256(out.encode()).hexdigest() == digests[str(t)], pair
 
-    @pytest.mark.parametrize("t", range(1, 8))
-    def test_rows_match_one_wall_at_a_time(self, capsys, t):
+    @pytest.mark.parametrize(
+        "t, bounds, least",
+        [pytest.param(t, "2,1,1,2", 101, id=str(t)) for t in range(1, 8)]
+        + [
+            pytest.param(t, bounds, least, id=f"{t}-{bounds}")
+            for t, bounds, least in [
+                (1, "0,2,2,3", 50), (6, "0,1,1,2", 10), (2, "3,0,0,3", 50), (4, "0,0,2,3", 0)
+            ]
+        ],
+    )
+    def test_rows_match_one_wall_at_a_time(self, capsys, t, bounds, least):
         # The sweep saturates each plane once.  A non-primitive generator
         # (0,0,0,2 beside 0,0,0,1), a non-isotropic one (1,1,1,0) and a
         # repeated one put many rows on a plane seen before; each row must
-        # still equal the wall classified on its own.
+        # still equal the wall classified on its own.  The sweep classifies
+        # only v with first nonzero entry positive and copies the row to -v;
+        # the boxes with zero bounds put r = 0, or a = b = 0, on the box's
+        # edge (r = a = 0 gives v^2 = 0, so 0,0,2,3 has no rows).  The
+        # reference classifies every v, -v included.
         generators = ["0,0,0,1", "0,0,0,2", "1,1,1,0", "1,0,0,0", "0,0,0,1"]
-        argv = ["atlas", "--type", str(t), "--bounds", "2,1,1,2"]
+        argv = ["atlas", "--type", str(t), "--bounds", bounds]
         code, out, err = run(capsys, *argv, *(f for w in generators for f in ("--w", w)))
         assert (code, err) == (0, "")
+        R, A, B, S = map(int, bounds.split(","))
         expected = []
-        for r in range(-2, 3):
-            for a in range(-1, 2):
-                for b in range(-1, 2):
-                    for s in range(-2, 3):
+        for r in range(-R, R + 1):
+            for a in range(-A, A + 1):
+                for b in range(-B, B + 1):
+                    for s in range(-S, S + 1):
                         v = MukaiVector(r, a, b, s)
                         if square(v) <= 0:
                             continue
@@ -338,7 +363,7 @@ class TestAtlas:
                                 ]
                             )
         rows = list(csv.reader(io.StringIO(out)))[1:]
-        assert len(rows) > 100
+        assert len(rows) >= least
         assert rows == sorted(expected)
 
 

@@ -101,9 +101,10 @@ def test_atlas_saturates_each_plane_once():
     tracing = load_tracing()
     tracer = tracing.Tracer()
     installed = tracing.install(tracer)
+    out = io.StringIO()
     try:
         tracer.on = True
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(out):
             code = cli.run_command([*argv, *(f for w in generators for f in ("--w", w))])
         tracer.on = False
     finally:
@@ -112,6 +113,13 @@ def test_atlas_saturates_each_plane_once():
     assert rows > 2 * len(planes)
     assert tracer.stats["walls.saturate_lattice"][0] == len(planes)
     assert tracer.stats["linalg.saturation_basis"][0] == len(planes)
+    # -v's row is v's, so each +-v pair is classified once
+    walls_written = out.getvalue().count("\n") - 1
+    classified = sum(
+        st[0] for name, st in tracer.stats.items() if name.startswith("walls.classify_wall.")
+    )
+    assert walls_written > 0
+    assert 2 * classified == walls_written
 
 
 def test_workloads_use_only_names_that_exist():

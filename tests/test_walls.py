@@ -511,6 +511,55 @@ class TestClassification:
         assert "LGUOrd2Divisorial" in c.labels
 
 
+class TestShiftSymmetry:
+    """The shift [1] acts on the lattice as p -> -p, so v and -v have one
+    wall: `atlas` classifies one of each pair and writes its row twice."""
+
+    @given(raw_instances)
+    @example((1, (1, 0, 0, -1), (0, 0, 0, 1)))  # FakeWall
+    @example((1, (1, 0, 0, -2), (0, 0, 0, 1)))  # HilbertChowDivisorial, n = 2..6
+    @example((1, (1, 0, 0, -3), (0, 0, 0, 1)))
+    @example((1, (1, 0, 0, -4), (0, 0, 0, 1)))
+    @example((1, (1, 0, 0, -5), (0, 0, 0, 1)))
+    @example((1, (1, 0, 0, -6), (0, 0, 0, 1)))
+    @example((1, (2, 0, 1, -1), (0, 0, 0, 1)))  # P1Fibration
+    @example((1, (2, 1, 2, 0), (0, 1, -2, 1)))  # NoWall
+    @example((1, (3, 2, -2, -2), (1, 0, 0, 0)))  # Flopping
+    @example((1, (6, 4, -4, -4), (1, 0, 0, 0)))  # IndeterminateNonPrimitive
+    @example((1, (2, 0, 0, -2), (0, 0, 0, 1)))  # LGUDivisorial, v non-primitive
+    @example((3, (2, 0, 0, -1), (0, 0, 0, 1)))  # LGUDivisorial
+    @example((2, (2, 1, 2, 0), (0, 0, 0, 1)))  # LGUOrd2Divisorial
+    @example((1, (3, 0, 0, -1), (0, 0, 0, 1)))  # Ord2ExceptionalDivisorial
+    @example((5, (3, 0, 1, -1), (0, 0, 0, 1)))  # Ord3ExceptionalDivisorial
+    @settings(max_examples=200, deadline=None)
+    def test_minus_v_has_the_same_wall(self, raw):
+        inst = build_instance(raw)
+        assume(inst is not None)
+        t, H = inst
+        _, vt, wt = raw
+        _, Hm = build_instance((t, tuple(-x for x in vt), wt))
+        assert (Hm.basis, Hm.gram) == (H.basis, H.gram)
+        c, cm = classify_wall(H), classify_wall(Hm)
+        assert (cm.totally_semistable, cm.labels, cm.codim_bound) == (
+            c.totally_semistable, c.labels, c.codim_bound
+        )
+        mv = Hm.v
+        for label, found in c.witnesses.items():
+            parts = cm.witnesses[label]
+            if label in (FLOPPING, FAKE_WALL):
+                # picked in (r, a, b, s) order, so not -found; still a decomposition of -v
+                total = MukaiVector(0, 0, 0, 0)
+                for p in parts:
+                    assert square(p) >= 0 and mukai_pairing(mv, p) > 0
+                    total = total + p
+                assert total == mv
+            else:
+                # ray labels: the rays of -v are -u; NoWall and Indeterminate carry none
+                assert sorted(u.as_tuple() for u in parts) == sorted(
+                    (-u).as_tuple() for u in found
+                )
+
+
 _APPROXIMATION_SEEDS = [
     (1, (1, 0, 0, 0)),
     (2, (2, 1, 0, 0)),
