@@ -35,6 +35,7 @@ SCHEMA = 1
 MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
 MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
+MAX_WALL_SQUARE = 300_000  # v^2 of `wall classify --v`; the search is linear in it
 
 
 def _frac_str(x) -> str:
@@ -146,12 +147,13 @@ def _classification_payload(t: int, v: MukaiVector, w: MukaiVector, max_parts: i
 
 
 def _cmd_wall_classify(args) -> int:
-    payload = _classification_payload(
-        args.type,
-        MukaiVector.parse(args.v),
-        MukaiVector.parse(args.w),
-        args.max_parts,
-    )
+    v = MukaiVector.parse(args.v)
+    w = MukaiVector.parse(args.w)
+    if square(v) > MAX_WALL_SQUARE:
+        raise PreconditionError(
+            f"--v {v.text()} has v^2 = {square(v)}, over the cap of {MAX_WALL_SQUARE}"
+        )
+    payload = _classification_payload(args.type, v, w, args.max_parts)
     codim = payload["codim_bound"]
     _emit(
         payload,
@@ -273,15 +275,25 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
     planes: dict[tuple, tuple | None] = {}
     rb, ab, bb, sb = bounds
     rows = []
-    # The shift [1] acts on the lattice as p -> -p, so -v's row is v's:
-    # plane_key normalises sign, so -v has v's plane (basis, Gram matrix,
-    # coordinates negated); its rays are -u with <-v, -u> = <v, u> and
-    # l(-u) = l(u), and v^2, l(v), primitivity and the mod-3 test on v - u
-    # keep their values, so tss and every ray clause fire alike; its
-    # positive classes are the negatives of v's with the same weights, so
-    # a decomposition exists for both or neither, with one codim bound.
-    # Only the witnesses differ, and a row prints none.  So classify the v
-    # whose first nonzero entry is positive, and write its row twice.
+    # The shift [1] acts on the lattice as p -> -p, and the derived dual D
+    # as (r, a, b, s) -> (r, -a, -b, s).  Each g in G = {1, -1, D, -D} is an
+    # automorphism of Z^4 that keeps the pairing, the content, divisibility
+    # by 3 and l(p) = gcd(r, a, (ord_k/lam) b, ord_k s).  So g carries the
+    # saturation of span{v, w} onto that of span{gv, gw}, the rays u onto
+    # gu with <gv, gu> = <v, u> and l(gu) = l(u), and the positive classes
+    # onto positive classes with the same weights: v^2, l(v), primitivity,
+    # tss, every ray clause (the mod-3 test on v - u too), whether a
+    # decomposition exists and the codim bound are those of (v, w).  Only
+    # the witnesses differ, and a row prints none.  So (gv, w) has the row
+    # of (v, w) when gw = +-w: for g = -1 always, and for every g when D
+    # keeps w up to sign (a = b = 0 or r = s = 0).  The box is symmetric
+    # under G.  So classify only v whose first nonzero entry is positive,
+    # and write its row under v and -v; for a w that D keeps, classify only
+    # v >= dual in (r, a, b, s) order, where dual is (r, -a, -b, s) if
+    # r != 0, else (0, a, b, -s) (the member of +-Dv whose first nonzero
+    # entry is positive), and write the row under +-dual too, unless
+    # dual = v (a = b = 0 or r = s = 0: the orbit has two members).
+    kept = [w.a == w.b == 0 or w.r == w.s == 0 for w in generators]
     for r in range(rb + 1):
         for a in range(-ab, ab + 1):
             for b in range(-bb, bb + 1):
@@ -291,7 +303,19 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                     v = MukaiVector.of(r, a, b, s)
                     if square(v) <= 0:
                         continue
-                    for w in generators:
+                    pair = (v.text(), (-v).text())
+                    dual = (r, -a, -b, s) if r else (0, a, b, -s)
+                    if dual > (r, a, b, s):
+                        orbit = None
+                    elif dual == (r, a, b, s):
+                        orbit = pair
+                    else:
+                        d = MukaiVector(*dual)
+                        orbit = (*pair, d.text(), (-d).text())
+                    for w, w_kept in zip(generators, kept):
+                        names = orbit if w_kept else pair
+                        if names is None:
+                            continue
                         key = plane_key(v, w)
                         if key is None:
                             continue
@@ -314,8 +338,8 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                             ";".join(sorted(c.labels)),
                             "inf" if c.codim_bound is None else str(c.codim_bound),
                         )
-                        rows.append((t, v.text(), *row))
-                        rows.append((t, (-v).text(), *row))
+                        for name in names:
+                            rows.append((t, name, *row))
     return rows
 
 

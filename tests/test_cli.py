@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -123,6 +124,34 @@ class TestWall:
         code, out, err = run(capsys, *argv, "--max-parts", "80")
         assert (code, err) == (0, "")
         assert run(capsys, *argv, "--max-parts", "1000000000") == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "v, w", [("1,3000,3001,5", "0,1,1,0"), ("1,0,0,-150001", "0,0,0,1")]
+    )
+    def test_square_over_cap_exits_3(self, capsys, monkeypatch, v, w):
+        # refused before saturating: uncapped, the first walks 9,002,995
+        # lattice lines (v^2 = 18,005,990) for about 20 s
+        monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "wall", "classify", "--type", "1", "--v", v, "--w", w)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        v2 = square(MukaiVector.parse(v))
+        assert v2 > cli.MAX_WALL_SQUARE
+        assert f"--v {v} has v^2 = {v2}, over the cap of {cli.MAX_WALL_SQUARE}" in err
+
+    def test_square_at_cap_is_classified(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(t, v, w):
+            assert square(v) == cli.MAX_WALL_SQUARE
+            raise Started
+
+        monkeypatch.setattr(cli, "saturate_lattice", started)
+        v = f"1,0,0,{-cli.MAX_WALL_SQUARE // 2}"
+        with pytest.raises(Started):
+            run_command(["wall", "classify", "--type", "1", "--v", v, "--w", "0,0,0,1"])
 
     def test_slice_rejects_negative_samples(self, capsys):
         code, out, err = run(
@@ -322,7 +351,8 @@ class TestAtlas:
         + [
             pytest.param(t, bounds, least, id=f"{t}-{bounds}")
             for t, bounds, least in [
-                (1, "0,2,2,3", 50), (6, "0,1,1,2", 10), (2, "3,0,0,3", 50), (4, "0,0,2,3", 0)
+                (1, "0,2,2,3", 50), (6, "0,1,1,2", 10), (2, "3,0,0,3", 50), (4, "0,0,2,3", 0),
+                (3, "0,2,2,0", 10), (5, "3,0,0,3", 50), (7, "3,2,2,3", 2000),
             ]
         ],
     )
@@ -331,11 +361,18 @@ class TestAtlas:
         # (0,0,0,2 beside 0,0,0,1), a non-isotropic one (1,1,1,0) and a
         # repeated one put many rows on a plane seen before; each row must
         # still equal the wall classified on its own.  The sweep classifies
-        # only v with first nonzero entry positive and copies the row to -v;
-        # the boxes with zero bounds put r = 0, or a = b = 0, on the box's
-        # edge (r = a = 0 gives v^2 = 0, so 0,0,2,3 has no rows).  The
-        # reference classifies every v, -v included.
-        generators = ["0,0,0,1", "0,0,0,2", "1,1,1,0", "1,0,0,0", "0,0,0,1"]
+        # one v of each class {v, -v}, or {+-v, +-Dv} for a generator that
+        # the dual D: (r, a, b, s) -> (r, -a, -b, s) keeps up to sign
+        # (2,0,0,-1 and 0,0,0,1 it fixes, 0,1,-1,0 it negates; 1,1,1,0 it
+        # moves), and copies its row to the other members.  The boxes with
+        # zero bounds put r = 0, or a = b = 0, on the box's edge (r = a = 0
+        # gives v^2 = 0, so 0,0,2,3 has no rows); in 3,0,0,3 every v has
+        # Dv = v and in 0,2,2,0 every v has Dv = -v, so each class there
+        # must be written twice, not four times.  The reference classifies
+        # every v on its own.
+        generators = [
+            "0,0,0,1", "0,0,0,2", "1,1,1,0", "1,0,0,0", "0,0,0,1", "2,0,0,-1", "0,1,-1,0"
+        ]
         argv = ["atlas", "--type", str(t), "--bounds", bounds]
         code, out, err = run(capsys, *argv, *(f for w in generators for f in ("--w", w)))
         assert (code, err) == (0, "")

@@ -82,10 +82,31 @@ def plane(v, w):
     return None
 
 
+def orbit(v, w):
+    """The vectors under which the sweep writes v's row for generator w:
+    None unless v is its orbit's representative, else v and -v, and +-Dv
+    too when the dual D: (r, a, b, s) -> (r, -a, -b, s) keeps w up to sign
+    (a set, so Dv = +-v counts once).  The representative has first nonzero
+    entry positive and, for such a w, is >= in (r, a, b, s) order the
+    member of +-Dv that has one too."""
+    r, a, b, s = v
+    if v <= (0, 0, 0, 0):
+        return None
+    members = {v, (-r, -a, -b, -s)}
+    if w[1] == w[2] == 0 or w[0] == w[3] == 0:
+        dual = (r, -a, -b, s) if r else (0, a, b, -s)
+        if dual > v:
+            return None
+        members |= {dual, tuple(-x for x in dual)}
+    return members
+
+
 def test_atlas_saturates_each_plane_once():
-    generators = ["0,0,0,1", "1,2,1,2", "0,0,0,2"]
+    # one generator that D moves (1,2,1,2), two it fixes and one it
+    # negates, so both the +-v pairs and the orbits of size 4 and 2 occur
+    generators = ["0,0,0,1", "1,2,1,2", "0,0,0,2", "0,1,-1,0"]
     argv = ["atlas", "--type", "2", "--bounds", "2,1,1,2"]
-    planes, rows = set(), 0
+    planes, walls_found, rows = set(), 0, 0
     for r in range(-2, 3):
         for a in range(-1, 2):
             for b in range(-1, 2):
@@ -93,11 +114,16 @@ def test_atlas_saturates_each_plane_once():
                     v = MukaiVector(r, a, b, s)
                     if square(v) <= 0:
                         continue
-                    for w in generators:
-                        key = plane(v.as_tuple(), MukaiVector.parse(w).as_tuple())
-                        if key is not None:
-                            planes.add(key)
-                            rows += 1
+                    for w in map(MukaiVector.parse, generators):
+                        members = orbit(v.as_tuple(), w.as_tuple())
+                        key = plane(v.as_tuple(), w.as_tuple())
+                        if members is None or key is None:
+                            continue
+                        planes.add(key)
+                        # a wall lattice is hyperbolic: v^2 w^2 < <v, w>^2
+                        if square(v) * square(w) < lattice.mukai_pairing(v, w) ** 2:
+                            walls_found += 1
+                            rows += len(members)
     tracing = load_tracing()
     tracer = tracing.Tracer()
     installed = tracing.install(tracer)
@@ -110,16 +136,17 @@ def test_atlas_saturates_each_plane_once():
     finally:
         installed.remove()
     assert code == 0
-    assert rows > 2 * len(planes)
+    assert walls_found > len(planes)
     assert tracer.stats["walls.saturate_lattice"][0] == len(planes)
     assert tracer.stats["linalg.saturation_basis"][0] == len(planes)
-    # -v's row is v's, so each +-v pair is classified once
+    # every member of a class has the representative's row, so each class
+    # is classified once and written once per member
     walls_written = out.getvalue().count("\n") - 1
     classified = sum(
         st[0] for name, st in tracer.stats.items() if name.startswith("walls.classify_wall.")
     )
-    assert walls_written > 0
-    assert 2 * classified == walls_written
+    assert classified == walls_found
+    assert walls_written == rows
 
 
 def test_workloads_use_only_names_that_exist():

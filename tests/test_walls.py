@@ -511,9 +511,26 @@ class TestClassification:
         assert "LGUOrd2Divisorial" in c.labels
 
 
+def _dual(p):
+    r, a, b, s = p
+    return (r, -a, -b, s)
+
+
+def _minus(p):
+    return tuple(-x for x in p)
+
+
+# the sign isometries of the Mukai lattice besides 1: the shift [1], the
+# derived dual D, and both
+_SIGN_ISOMETRIES = {"-1": _minus, "D": _dual, "-D": lambda p: _minus(_dual(p))}
+
+
 class TestShiftSymmetry:
-    """The shift [1] acts on the lattice as p -> -p, so v and -v have one
-    wall: `atlas` classifies one of each pair and writes its row twice."""
+    """The shift [1] acts on the lattice as p -> -p and the derived dual D
+    as (r, a, b, s) -> (r, -a, -b, s); each g in {-1, D, -D} carries the
+    wall (v, w) onto (gv, gw) with the same tss, labels and codim bound.
+    `atlas` classifies one v of each orbit and writes its row for every
+    member (for D only when gw = +-w)."""
 
     @given(raw_instances)
     @example((1, (1, 0, 0, -1), (0, 0, 0, 1)))  # FakeWall
@@ -537,27 +554,33 @@ class TestShiftSymmetry:
         assume(inst is not None)
         t, H = inst
         _, vt, wt = raw
-        _, Hm = build_instance((t, tuple(-x for x in vt), wt))
-        assert (Hm.basis, Hm.gram) == (H.basis, H.gram)
-        c, cm = classify_wall(H), classify_wall(Hm)
-        assert (cm.totally_semistable, cm.labels, cm.codim_bound) == (
-            c.totally_semistable, c.labels, c.codim_bound
-        )
-        mv = Hm.v
-        for label, found in c.witnesses.items():
-            parts = cm.witnesses[label]
-            if label in (FLOPPING, FAKE_WALL):
-                # picked in (r, a, b, s) order, so not -found; still a decomposition of -v
-                total = MukaiVector(0, 0, 0, 0)
-                for p in parts:
-                    assert square(p) >= 0 and mukai_pairing(mv, p) > 0
-                    total = total + p
-                assert total == mv
-            else:
-                # ray labels: the rays of -v are -u; NoWall and Indeterminate carry none
-                assert sorted(u.as_tuple() for u in parts) == sorted(
-                    (-u).as_tuple() for u in found
-                )
+        c = classify_wall(H)
+        for name, g in _SIGN_ISOMETRIES.items():
+            _, Hg = build_instance((t, g(vt), g(wt)))
+            if name == "-1":
+                # the same plane; D moves it
+                assert (Hg.basis, Hg.gram) == (H.basis, H.gram)
+            cg = classify_wall(Hg)
+            assert (cg.totally_semistable, cg.labels, cg.codim_bound) == (
+                c.totally_semistable, c.labels, c.codim_bound
+            ), name
+            gv = Hg.v
+            for label, found in c.witnesses.items():
+                parts = cg.witnesses[label]
+                if label in (FLOPPING, FAKE_WALL):
+                    # picked in (r, a, b, s) order, so not g(found); still a
+                    # decomposition of gv
+                    total = MukaiVector(0, 0, 0, 0)
+                    for p in parts:
+                        assert square(p) >= 0 and mukai_pairing(gv, p) > 0, name
+                        total = total + p
+                    assert total == gv, name
+                else:
+                    # ray labels: the rays of gv are gu; NoWall and
+                    # Indeterminate carry none
+                    assert sorted(u.as_tuple() for u in parts) == sorted(
+                        g(u.as_tuple()) for u in found
+                    ), name
 
 
 _APPROXIMATION_SEEDS = [
