@@ -12,23 +12,17 @@ import functools
 import json
 import sys
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from bielliptic.errors import PreconditionError
-from bielliptic.lattice import (
-    DivisorClass,
-    MukaiVector,
-    l_invariant,
-    mukai_pairing,
-    plane_key,
-    square,
-)
+from bielliptic.lattice import DivisorClass, MukaiVector, l_invariant, mukai_pairing, square
+from bielliptic.linalg import unimodular_completion
 from bielliptic.moduli import bridgeland_nonempty, gieseker_report, singularity_report
 from bielliptic.oracle import enumerate_equality_cases
 from bielliptic.stability import EVERYWHERE, NOWHERE, locus_samples, wall_in_slice
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
-from bielliptic.walls import HyperbolicPair, classify_wall, saturate_lattice
+from bielliptic.walls import classify_wall, saturate_lattice, wall_key, wall_plane
 
 SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
@@ -36,6 +30,7 @@ MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
 MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
 MAX_WALL_SQUARE = 300_000  # v^2 of `wall classify --v`; the search is linear in it
+MAX_REDUCE_RANK = 1_000_000  # rank of `reduce --vector`; a reduction takes about r steps
 
 
 def _frac_str(x) -> str:
@@ -110,6 +105,10 @@ def _cmd_pair(args) -> int:
 
 def _cmd_reduce(args) -> int:
     v = MukaiVector.parse(args.vector)
+    if v.r > MAX_REDUCE_RANK:
+        raise PreconditionError(
+            f"--vector {v.text()} has rank {v.r}, over the cap of {MAX_REDUCE_RANK}"
+        )
     v0, log = reduce_to_table(args.type, v)
     payload = {
         "schema": SCHEMA,
@@ -269,77 +268,66 @@ def _cmd_oracle_cases(args) -> int:
 
 def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[tuple]:
     """The unsorted CSV rows of every wall (v, w) with v in the box."""
-    # The saturation of span{v, w}, and so its Hermite basis and Gram matrix,
-    # depends only on the plane: saturate each plane once, or remember that
-    # it is not a wall lattice.
-    planes: dict[tuple, tuple | None] = {}
+    # A row is a function of walls.wall_key: classify each key once.  The
+    # key needs v's plane Z*w0 + Z*u and v = (alpha, g) in it, read off
+    # v . U = (alpha, beta) for U the unimodular completion of w; and each
+    # orbit of v under {+-1, +-D} has one row, D the derived dual, so only
+    # its representative is classified (README, "The atlas sweep").
+    data = surface_invariants(t)
+    ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
+    sweeps = [  # w, its text, whether D keeps it, w0, the columns of U, w's planes
+        (w, w.text(), w.a == w.b == 0 or w.r == w.s == 0, w.primitive_part()[1].as_tuple(),
+         *unimodular_completion(w.as_tuple()), {}) for w in generators
+    ]
+    tails: dict[tuple, tuple] = {}
     rb, ab, bb, sb = bounds
     rows = []
-    # The shift [1] acts on the lattice as p -> -p, and the derived dual D
-    # as (r, a, b, s) -> (r, -a, -b, s).  Each g in G = {1, -1, D, -D} is an
-    # automorphism of Z^4 that keeps the pairing, the content, divisibility
-    # by 3 and l(p) = gcd(r, a, (ord_k/lam) b, ord_k s).  So g carries the
-    # saturation of span{v, w} onto that of span{gv, gw}, the rays u onto
-    # gu with <gv, gu> = <v, u> and l(gu) = l(u), and the positive classes
-    # onto positive classes with the same weights: v^2, l(v), primitivity,
-    # tss, every ray clause (the mod-3 test on v - u too), whether a
-    # decomposition exists and the codim bound are those of (v, w).  Only
-    # the witnesses differ, and a row prints none.  So (gv, w) has the row
-    # of (v, w) when gw = +-w: for g = -1 always, and for every g when D
-    # keeps w up to sign (a = b = 0 or r = s = 0).  The box is symmetric
-    # under G.  So classify only v whose first nonzero entry is positive,
-    # and write its row under v and -v; for a w that D keeps, classify only
-    # v >= dual in (r, a, b, s) order, where dual is (r, -a, -b, s) if
-    # r != 0, else (0, a, b, -s) (the member of +-Dv whose first nonzero
-    # entry is positive), and write the row under +-dual too, unless
-    # dual = v (a = b = 0 or r = s = 0: the orbit has two members).
-    kept = [w.a == w.b == 0 or w.r == w.s == 0 for w in generators]
     for r in range(rb + 1):
         for a in range(-ab, ab + 1):
             for b in range(-bb, bb + 1):
                 for s in range(-sb, sb + 1):
-                    if (r, a, b, s) <= (0, 0, 0, 0):
+                    if (r, a, b, s) <= (0, 0, 0, 0) or a * b <= r * s:  # v^2 = 2(ab - rs)
                         continue
-                    v = MukaiVector.of(r, a, b, s)
-                    if square(v) <= 0:
-                        continue
-                    pair = (v.text(), (-v).text())
+                    lv = gcd(r, a, mb * b, ordk * s)
+                    pair = (f"{r},{a},{b},{s}", f"{-r},{-a},{-b},{-s}")
                     dual = (r, -a, -b, s) if r else (0, a, b, -s)
                     if dual > (r, a, b, s):
                         orbit = None
                     elif dual == (r, a, b, s):
                         orbit = pair
                     else:
-                        d = MukaiVector(*dual)
-                        orbit = (*pair, d.text(), (-d).text())
-                    for w, w_kept in zip(generators, kept):
+                        dr, da, db, ds = dual
+                        orbit = (*pair, f"{dr},{da},{db},{ds}", f"{-dr},{-da},{-db},{-ds}")
+                    for w, wt, w_kept, w0, U0, U1, U2, U3, planes in sweeps:
                         names = orbit if w_kept else pair
                         if names is None:
                             continue
-                        key = plane_key(v, w)
-                        if key is None:
+                        b1 = r * U1[0] + a * U1[1] + b * U1[2] + s * U1[3]
+                        b2 = r * U2[0] + a * U2[1] + b * U2[2] + s * U2[3]
+                        b3 = r * U3[0] + a * U3[1] + b * U3[2] + s * U3[3]
+                        g = gcd(b1, b2, b3)
+                        if not g:  # v and w are collinear
                             continue
-                        if key in planes:
-                            known = planes[key]
-                            if known is None:
-                                continue
-                            H = HyperbolicPair(t, v, *known)
-                        else:
-                            try:
-                                H = saturate_lattice(t, v, w)
-                            except PreconditionError:
-                                planes[key] = None
-                                continue
-                            planes[key] = (H.basis, H.gram)
-                        c = classify_wall(H)
-                        row = (
-                            w.text(),
-                            "true" if c.totally_semistable else "false",
-                            ";".join(sorted(c.labels)),
-                            "inf" if c.codim_bound is None else str(c.codim_bound),
-                        )
+                        if (b1 or b2 or b3) < 0:
+                            g = -g
+                        alpha = r * U0[0] + a * U0[1] + b * U0[2] + s * U0[3]
+                        plane = planes.get(pk := (b1 // g, b2 // g, b3 // g), False)
+                        if plane is False:  # a plane not seen before
+                            u = tuple((x - alpha * y) // g for x, y in zip((r, a, b, s), w0))
+                            plane = planes[pk] = wall_plane(t, w0, u)
+                        if plane is None:
+                            continue
+                        key = wall_key(plane[0], (alpha, g), lv, plane[1])
+                        tail = tails.get(key)
+                        if tail is None:
+                            c = classify_wall(saturate_lattice(t, MukaiVector(r, a, b, s), w))
+                            tail = tails[key] = (
+                                "true" if c.totally_semistable else "false",
+                                ";".join(sorted(c.labels)),
+                                "inf" if c.codim_bound is None else str(c.codim_bound),
+                            )
                         for name in names:
-                            rows.append((t, name, *row))
+                            rows.append((t, name, wt, *tail))
     return rows
 
 
@@ -460,6 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run_command(argv: list[str]) -> int:
     """Parse and run; returns the exit status (2 flags, 3 preconditions)."""
     parser = build_parser()
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse reads -1,0,0,2 as an option
+        flag, val = argv[i - 1], argv[i]
+        if flag in ("--v", "--w", "--vector", "--H0") and val[:1] == "-" and val[1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"{flag}={val}"]
     try:
         args = parser.parse_args(argv)
         # argparse before Python 3.12 parses "--flag=--" to an empty list

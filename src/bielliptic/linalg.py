@@ -58,6 +58,25 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
+def unimodular_completion(w: tuple[int, ...]) -> list[list[int]]:
+    """The columns of an integer U with det U = +-1 and w0 . U = e1, for
+    w0 = w / content(w), w in Z^n nonzero and n >= 2, by determinant-1 moves
+    on columns 0 and j that set entry j of w0 . U to 0.  So p . U lists p's
+    coordinates in the basis of Z^n that the rows of U^-1 form (w0 first)."""
+    row = [x // gcd(*w) for x in w]
+    cols = [[int(i == j) for i in range(len(w))] for j in range(len(w))]
+    for j in range(1, len(w)):
+        g, x, y = ext_gcd(row[0], row[j])
+        if g:
+            p, q = row[0] // g, row[j] // g
+            cols[0], cols[j] = (
+                [x * a + y * b for a, b in zip(cols[0], cols[j])],
+                [p * b - q * a for a, b in zip(cols[0], cols[j])],
+            )
+            row[0] = g
+    return cols
+
+
 def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
     """Canonical basis of the saturation of the lattice spanned by two rows.
 

@@ -131,7 +131,15 @@ def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
     Empty exactly when the binary form has irrational isotropic directions,
     i.e. -det(gram) is not a perfect square.
     """
-    (g11, g12), (_, g22) = H.gram
+    out, vxy = [], H.vxy
+    for x, y in isotropic_directions(H.gram):
+        out.append(H.from_coords(x, y) if H.pair(vxy, (x, y)) > 0 else H.from_coords(-x, -y))
+    return sorted(out, key=MukaiVector.as_tuple)
+
+
+def isotropic_directions(gram) -> list[tuple[int, int]]:
+    """The primitive isotropic directions (0 or 2, either sign) of a form."""
+    (g11, g12), (_, g22) = gram
     disc = g12 * g12 - g11 * g22
     k = isqrt(disc)
     if k * k != disc:
@@ -140,15 +148,7 @@ def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
         dirs = [(1, 0), (-g22, 2 * g12)]
     else:
         dirs = [(-g12 + k, g11), (-g12 - k, g11)]
-    out = []
-    vxy = H.vxy
-    for x, y in dirs:
-        g = gcd(x, y)
-        x, y = x // g, y // g
-        if H.pair(vxy, (x, y)) < 0:
-            x, y = -x, -y
-        out.append(H.from_coords(x, y))
-    return sorted(out, key=MukaiVector.as_tuple)
+    return [(x // gcd(x, y), y // gcd(x, y)) for x, y in dirs]
 
 
 def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
@@ -422,6 +422,54 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         witnesses=witnesses,
         codim_bound=codim,
     )
+
+
+def wall_plane(t: int, e1: tuple, e2: tuple):
+    """(gram, [(x, y, l(x*e1 + y*e2)) per isotropic direction]) of a basis
+    of a saturated rank-2 lattice; None unless it is hyperbolic."""
+    e = (MukaiVector(*e1), MukaiVector(*e2))
+    gram = tuple(tuple(mukai_pairing(p, q) for q in e) for p in e)
+    if gram[0][0] * gram[1][1] >= gram[0][1] ** 2:
+        return None
+    dirs = isotropic_directions(gram)
+    return gram, [(x, y, l_invariant_any(t, x * e[0] + y * e[1])) for x, y in dirs]
+
+
+def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:
+    """The invariant (c, A, B, D, l(v), rays) of the wall of v in the
+    saturated lattice H; on one type, its row is a function of it.
+
+    gram and vxy give a basis of H and v in it, lv = l(v), rays as from
+    wall_plane.  v = c*v0 with v0 primitive, (v0, f) a basis of H,
+    A = v0^2, B = <v0, f> and D = det(gram).  f -> +-f + k*v0 moves B to
+    +-B + k*A: take 0 <= B <= A/2 and, if both signs fit, the smaller key.
+    A ray u with <v, u> > 0 gives its (X, Y) in (v0, f), l(u), and whether
+    3 | v - u, i.e. c - X = Y = 0 mod 3 as H is saturated.  Proof: for one
+    key, x*v0 + y*f -> x*v0' + y*f' is an isometry taking v to v' and b*u
+    to b*u' with l(b*u) = b*l(u) = l(b*u'), so it keeps all classify_wall
+    reads: v^2 = c^2*A, l(v), primitivity (c = 1), each ray's <v, u>, l(u)
+    and bit, and the search's weights q(p)/2 and l(p) // ord_k.
+    """
+    (g11, g12), (_, g22) = gram
+    c, p, q = ext_gcd(*vxy)
+    x0, y0 = vxy[0] // c, vxy[1] // c
+    # f = (-q, p): det(v0, f) = 1, and (x, y) = X*v0 + Y*f for
+    # X = p*x + q*y, Y = x0*y - y0*x; then f -> f - k*v0
+    A = g11 * x0 * x0 + 2 * g12 * x0 * y0 + g22 * y0 * y0
+    k, B = divmod(g12 * (x0 * p - y0 * q) - g11 * x0 * q + g22 * y0 * p, A)
+    pts = []
+    for x, y, l in rays:
+        Y = x0 * y - y0 * x
+        X = p * x + q * y + k * Y
+        if A * X + B * Y < 0:
+            X, Y = -X, -Y
+        pts.append((X, Y, l, (c - X) % 3 == Y % 3 == 0))
+    keys = [(B, sorted(pts))] if 2 * B <= A else []
+    if 2 * B >= A or B == 0:  # f -> m*v0 - f moves B to m*A - B
+        m = 1 if B else 0
+        keys.append((m * A - B, sorted((X + m * Y, -Y, l, bit) for X, Y, l, bit in pts)))
+    B, pts = min(keys)
+    return c, A, B, g11 * g22 - g12 * g12, lv, tuple(pts)
 
 
 # ---------------------------------------------------------------------------

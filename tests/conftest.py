@@ -5,7 +5,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 import hypothesis.strategies as st
 
-from bielliptic.lattice import MukaiVector
+from bielliptic import walls
+from bielliptic.errors import PreconditionError
+from bielliptic.lattice import MukaiVector, l_invariant_any
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -29,3 +31,14 @@ def primitive_vectors(draw, rmin=1, rmax=30, cmax=30):
         mukai_vectors(rmin=rmin, rmax=rmax, cmax=cmax).filter(lambda u: u.is_primitive())
     )
     return v
+
+
+def hermite_key(t, v, w):
+    """walls.wall_key of the wall (v, w), read off the Hermite basis that
+    saturate_lattice builds, or None if (v, w) is not a wall."""
+    try:
+        H = walls.saturate_lattice(t, v, w)
+    except PreconditionError:
+        return None
+    rays = [(*H.coords(u), l_invariant_any(t, u)) for u in walls.isotropic_rays(H)]
+    return walls.wall_key(H.gram, H.vxy, l_invariant_any(t, v), rays)

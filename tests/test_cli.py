@@ -18,10 +18,10 @@ import hypothesis.strategies as st
 from bielliptic import cli, transforms
 from bielliptic.cli import run_command
 from bielliptic.errors import PreconditionError
-from bielliptic.lattice import MukaiVector, square
+from bielliptic.lattice import MukaiVector, plane_key, square
 from bielliptic.transforms import TransformLog
 
-from conftest import FIXTURES, primitive_vectors
+from conftest import FIXTURES, hermite_key, primitive_vectors
 
 
 def run(capsys, *argv):
@@ -89,6 +89,27 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "--type", "1", "--vector", "0,1,0,0")
         assert code == 3
         assert "rank" in err
+
+    @pytest.mark.parametrize("r", [cli.MAX_REDUCE_RANK + 1, 10**13 + 1])
+    def test_rank_over_cap_exits_3(self, capsys, monkeypatch, r):
+        # refused before the reduction starts: uncapped, r = 10^7 + 1 takes
+        # 10^7 steps, and the JSON log is 37 bytes a step
+        monkeypatch.setattr(cli, "reduce_to_table", _must_not_run)
+        code, out, err = run(capsys, "reduce", "--type", "1", "--vector", f"{r},1,0,0", "--json")
+        assert (code, out) == (3, "")
+        assert f"--vector {r},1,0,0 has rank {r}, over the cap of {cli.MAX_REDUCE_RANK}" in err
+
+    def test_rank_at_cap_is_reduced(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(t, v):
+            assert v.r == cli.MAX_REDUCE_RANK
+            raise Started
+
+        monkeypatch.setattr(cli, "reduce_to_table", started)
+        with pytest.raises(Started):
+            run_command(["reduce", "--type", "1", "--vector", f"{cli.MAX_REDUCE_RANK},1,0,0"])
 
     def test_budget_exhausted_exits_3(self, capsys, monkeypatch):
         # with every step acting as the identity the loop never converges
@@ -193,6 +214,31 @@ class TestWall:
         assert f"--emit-samples {n} exceeds the cap of {cli.MAX_EMIT_SAMPLES}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair", "--type", "1", "--v", "-1,0,0,2", "--w", "-2,1,0,3", "--json"],
+        ["wall", "classify", "--type", "1", "--v", "-1,0,0,2", "--w", "-1,0,0,0", "--json"],
+        ["reduce", "--type", "1", "--vector", "-3,1,1,0"],  # rank < 1: exit 3
+        ["moduli", "report", "--type", "2", "--vector", "-2,0,1,1", "--json"],
+        ["wall", "slice", "--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,-1", "--H0", "-1,1"],
+        ["atlas", "--type", "1", "--bounds", "1,1,1,1", "--w", "-1,0,0,0", "--w", "-0,0,0,1"],
+    ],
+    ids=["pair", "classify", "reduce", "moduli", "slice", "atlas"],
+)
+def test_spaced_negative_vector_is_a_value(capsys, argv):
+    # "--v -1,0,0,2" reads like "--v=-1,0,0,2", not as a flag with no value
+    joined = []
+    for tok in argv:
+        if joined and joined[-1] in ("--v", "--w", "--vector", "--H0"):
+            joined[-1] += "=" + tok
+        else:
+            joined.append(tok)
+    spaced = run(capsys, *argv)
+    assert spaced == run(capsys, *joined)
+    assert spaced[0] in (0, 3) and "expected one argument" not in spaced[2]
+
+
 class TestModuli:
     def test_report(self, capsys):
         payload = run_json(
@@ -244,8 +290,8 @@ def _must_not_run(*args, **kwargs):
 class TestAtlas:
     @pytest.mark.parametrize("bounds", ["9,9,9,9", "50000,0,0,0", "10000000000,1,1,1"])
     def test_box_over_cap_exits_3(self, capsys, monkeypatch, bounds):
-        # the first vector of the sweep would call square(); it must not be reached
-        monkeypatch.setattr(cli, "square", _must_not_run)
+        # refused before the sweep starts
+        monkeypatch.setattr(cli, "_atlas_rows", _must_not_run)
         code, out, err = run(capsys, "atlas", "--type", "1", "--bounds", bounds, "--w", "0,0,0,1")
         assert (code, out) == (3, "")
         assert f"--bounds {bounds} spans" in err
@@ -255,11 +301,12 @@ class TestAtlas:
         class Started(Exception):
             pass
 
-        def started(v):
+        def started(t, bounds, generators):
+            assert (t, bounds) == (1, [8, 8, 8, 8])
             raise Started
 
         # 17**4 = 83,521 vectors: under the cap, so the sweep starts
-        monkeypatch.setattr(cli, "square", started)
+        monkeypatch.setattr(cli, "_atlas_rows", started)
         with pytest.raises(Started):
             run_command(["atlas", "--type", "1", "--bounds", "8,8,8,8", "--w", "0,0,0,1"])
 
@@ -276,7 +323,7 @@ class TestAtlas:
         # the sweep skips rows that fail a precondition; a bad flag must not
         # reach it and come out as an empty CSV with exit 0.  It also wins
         # over an --out that cannot be opened (exit 2).
-        monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "_atlas_rows", _must_not_run)
         monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
         monkeypatch.setattr(cli, "classify_wall", _must_not_run)
         code, out, err = run(
@@ -290,7 +337,7 @@ class TestAtlas:
     def test_max_parts_flag_exits_2_before_the_sweep(self, capsys, monkeypatch):
         # atlas takes no --max-parts: a row reads only whether a witness
         # exists and the codimension bound, and neither depends on it
-        monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "_atlas_rows", _must_not_run)
         monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
         monkeypatch.setattr(cli, "classify_wall", _must_not_run)
         code, out, err = run(
@@ -302,7 +349,7 @@ class TestAtlas:
 
     def test_unwritable_out_exits_2(self, capsys, monkeypatch, tmp_path):
         # --out is opened before the sweep: a box this size would take seconds
-        monkeypatch.setattr(cli, "square", _must_not_run)
+        monkeypatch.setattr(cli, "_atlas_rows", _must_not_run)
         monkeypatch.setattr(cli, "saturate_lattice", _must_not_run)
         monkeypatch.setattr(cli, "classify_wall", _must_not_run)
         code, out, err = run(
@@ -346,17 +393,20 @@ class TestAtlas:
             assert hashlib.sha256(out.encode()).hexdigest() == digests[str(t)], pair
 
     @pytest.mark.parametrize(
-        "t, bounds, least",
-        [pytest.param(t, "2,1,1,2", 101, id=str(t)) for t in range(1, 8)]
+        "t, bounds, least, shared",
+        [pytest.param(t, "2,1,1,2", 101, 0, id=str(t)) for t in range(1, 8)]
         + [
-            pytest.param(t, bounds, least, id=f"{t}-{bounds}")
-            for t, bounds, least in [
-                (1, "0,2,2,3", 50), (6, "0,1,1,2", 10), (2, "3,0,0,3", 50), (4, "0,0,2,3", 0),
-                (3, "0,2,2,0", 10), (5, "3,0,0,3", 50), (7, "3,2,2,3", 2000),
+            pytest.param(t, bounds, least, shared, id=f"{t}-{bounds}")
+            for t, bounds, least, shared in [
+                (1, "0,2,2,3", 50, 0), (6, "0,1,1,2", 10, 0), (2, "3,0,0,3", 50, 0),
+                (4, "0,0,2,3", 0, 0), (3, "0,2,2,0", 10, 0), (5, "3,0,0,3", 50, 0),
+                (7, "3,2,2,3", 2000, 0),
+                # 110 walls with 9 keys, each of them on two planes or more
+                (3, "1,1,1,1", 100, 9),
             ]
         ],
     )
-    def test_rows_match_one_wall_at_a_time(self, capsys, t, bounds, least):
+    def test_rows_match_one_wall_at_a_time(self, capsys, t, bounds, least, shared):
         # The sweep saturates each plane once.  A non-primitive generator
         # (0,0,0,2 beside 0,0,0,1), a non-isotropic one (1,1,1,0) and a
         # repeated one put many rows on a plane seen before; each row must
@@ -369,7 +419,9 @@ class TestAtlas:
         # gives v^2 = 0, so 0,0,2,3 has no rows); in 3,0,0,3 every v has
         # Dv = v and in 0,2,2,0 every v has Dv = -v, so each class there
         # must be written twice, not four times.  The reference classifies
-        # every v on its own.
+        # every v on its own.  The sweep classifies one wall per
+        # walls.wall_key, so a key that walls on distinct planes share
+        # (counted in `shared`) must give each of them its own row.
         generators = [
             "0,0,0,1", "0,0,0,2", "1,1,1,0", "1,0,0,0", "0,0,0,1", "2,0,0,-1", "0,1,-1,0"
         ]
@@ -377,7 +429,7 @@ class TestAtlas:
         code, out, err = run(capsys, *argv, *(f for w in generators for f in ("--w", w)))
         assert (code, err) == (0, "")
         R, A, B, S = map(int, bounds.split(","))
-        expected = []
+        expected, planes = [], {}
         for r in range(-R, R + 1):
             for a in range(-A, A + 1):
                 for b in range(-B, B + 1):
@@ -390,6 +442,8 @@ class TestAtlas:
                                 p = cli._classification_payload(t, v, MukaiVector.parse(w), 4)
                             except PreconditionError:
                                 continue
+                            key = hermite_key(t, v, MukaiVector.parse(w))
+                            planes.setdefault(key, set()).add(plane_key(v, MukaiVector.parse(w)))
                             codim = p["codim_bound"]
                             expected.append(
                                 [
@@ -402,6 +456,7 @@ class TestAtlas:
         rows = list(csv.reader(io.StringIO(out)))[1:]
         assert len(rows) >= least
         assert rows == sorted(expected)
+        assert sum(len(on) > 1 for on in planes.values()) >= shared
 
 
 class TestEntryPoint:
@@ -525,10 +580,10 @@ def _argvs(draw):
         for _ in range(times):
             if values is None:
                 argv.append(flag)
-            elif draw(st.integers(0, 3)) < 3:
-                argv.append(f"{flag}={draw(values)}")  # the form a negative value needs
+            elif draw(st.booleans()):
+                argv.append(f"{flag}={draw(values)}")
             else:
-                argv += [flag, draw(values)]
+                argv += [flag, draw(values)]  # also for a value that starts with "-"
     for _ in range(draw(st.integers(0, 5).map(lambda i: max(0, i - 3)))):
         argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
     return argv
@@ -539,6 +594,9 @@ def _argvs(draw):
 @example(["wall", "slice", "--type=1", "--v=1,0,0,-1", "--w=0,0,0,-1", "--H0=1,1", "--emit-samples=--"])
 @example(["atlas", "--type=1", "--bounds=0,0,0,1", "--w=0,0,0,1", "--w=--"])
 @example(["atlas", "--type=1", "--bounds=0,0,0,1", "--w=0,0,0,1", "--max-parts=4"])
+@example(["wall", "classify", "--type", "1", "--v", "-1,0,0,2", "--w", "-", "--json"])
+@example(["pair", "--type", "1", "--v", "--w", "-1,0,0,2"])
+@example(["reduce", "--type", "1", "--vector", "-1,0"])
 @settings(max_examples=600, deadline=None)
 def test_fuzzed_argv_ends_in_a_named_exit(argv):
     out, err = io.StringIO(), io.StringIO()

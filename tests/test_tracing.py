@@ -12,11 +12,15 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import itertools
 import pathlib
-from fractions import Fraction
+
+import pytest
 
 from bielliptic import cli, lattice, linalg, walls
 from bielliptic.lattice import MukaiVector, square
+
+from conftest import hermite_key
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 WORKLOADS = TRACING.parent / "workloads.py"
@@ -61,27 +65,6 @@ def test_tracer_installs_and_removes():
     } <= set(tracer.stats)
 
 
-def plane(v, w):
-    """The reduced row echelon form of the rows v, w over Q, or None if they
-    are collinear: one key per plane, computed apart from the library."""
-    rows = [[Fraction(x) for x in v], [Fraction(x) for x in w]]
-    lead = []
-    for col in range(4):
-        i = len(lead)
-        pivot = next((k for k in range(i, 2) if rows[k][col]), None)
-        if pivot is None:
-            continue
-        rows[i], rows[pivot] = rows[pivot], rows[i]
-        rows[i] = [x / rows[i][col] for x in rows[i]]
-        for k in range(2):
-            if k != i and rows[k][col]:
-                rows[k] = [a - rows[k][col] * b for a, b in zip(rows[k], rows[i])]
-        lead.append(col)
-        if len(lead) == 2:
-            return tuple(map(tuple, rows))
-    return None
-
-
 def orbit(v, w):
     """The vectors under which the sweep writes v's row for generator w:
     None unless v is its orbit's representative, else v and -v, and +-Dv
@@ -101,29 +84,36 @@ def orbit(v, w):
     return members
 
 
-def test_atlas_saturates_each_plane_once():
-    # one generator that D moves (1,2,1,2), two it fixes and one it
-    # negates, so both the +-v pairs and the orbits of size 4 and 2 occur
-    generators = ["0,0,0,1", "1,2,1,2", "0,0,0,2", "0,1,-1,0"]
-    argv = ["atlas", "--type", "2", "--bounds", "2,1,1,2"]
-    planes, walls_found, rows = set(), 0, 0
-    for r in range(-2, 3):
-        for a in range(-1, 2):
-            for b in range(-1, 2):
-                for s in range(-2, 3):
-                    v = MukaiVector(r, a, b, s)
-                    if square(v) <= 0:
-                        continue
-                    for w in map(MukaiVector.parse, generators):
-                        members = orbit(v.as_tuple(), w.as_tuple())
-                        key = plane(v.as_tuple(), w.as_tuple())
-                        if members is None or key is None:
-                            continue
-                        planes.add(key)
-                        # a wall lattice is hyperbolic: v^2 w^2 < <v, w>^2
-                        if square(v) * square(w) < lattice.mukai_pairing(v, w) ** 2:
-                            walls_found += 1
-                            rows += len(members)
+@pytest.mark.parametrize(
+    "types, bounds, generators, keys",
+    [
+        # one generator that D moves (1,2,1,2), two it fixes and one it
+        # negates, so both the +-v pairs and the orbits of size 4 and 2 occur
+        ([2], "2,1,1,2", ["0,0,0,1", "1,2,1,2", "0,0,0,2", "0,1,-1,0"], 41),
+        # scripts/run_atlas.py
+        (range(1, 8), "3,2,2,3", ["0,0,0,1", "1,0,0,0"], 582),
+    ],
+    ids=["type2", "run_atlas"],
+)
+def test_atlas_classifies_each_key_once(types, bounds, generators, keys):
+    R, A, B, S = map(int, bounds.split(","))
+    expected, walls_found, rows = 0, 0, 0
+    for t in types:
+        distinct = set()
+        for v in itertools.product(*(range(-n, n + 1) for n in (R, A, B, S))):
+            v = MukaiVector(*v)
+            if square(v) <= 0:
+                continue
+            for w in map(MukaiVector.parse, generators):
+                members = orbit(v.as_tuple(), w.as_tuple())
+                key = hermite_key(t, v, w) if members else None
+                if key is not None:
+                    distinct.add(key)
+                    walls_found += 1
+                    rows += len(members)
+        expected += len(distinct)  # the memo lives for one call
+    assert expected == keys
+    assert walls_found > expected
     tracing = load_tracing()
     tracer = tracing.Tracer()
     installed = tracing.install(tracer)
@@ -131,22 +121,22 @@ def test_atlas_saturates_each_plane_once():
     try:
         tracer.on = True
         with contextlib.redirect_stdout(out):
-            code = cli.run_command([*argv, *(f for w in generators for f in ("--w", w))])
+            for t in types:
+                argv = ["atlas", "--type", str(t), "--bounds", bounds]
+                code = cli.run_command([*argv, *(f for w in generators for f in ("--w", w))])
+                assert code == 0
         tracer.on = False
     finally:
         installed.remove()
-    assert code == 0
-    assert walls_found > len(planes)
-    assert tracer.stats["walls.saturate_lattice"][0] == len(planes)
-    assert tracer.stats["linalg.saturation_basis"][0] == len(planes)
-    # every member of a class has the representative's row, so each class
-    # is classified once and written once per member
-    walls_written = out.getvalue().count("\n") - 1
+    # every member of a class has the representative's row, so each key is
+    # saturated and classified once and each row written once per member
     classified = sum(
         st[0] for name, st in tracer.stats.items() if name.startswith("walls.classify_wall.")
     )
-    assert classified == walls_found
-    assert walls_written == rows
+    assert tracer.stats["walls.saturate_lattice"][0] == expected
+    assert tracer.stats["linalg.saturation_basis"][0] == expected
+    assert classified == expected
+    assert out.getvalue().count("\n") - len(types) == rows
 
 
 def test_workloads_use_only_names_that_exist():

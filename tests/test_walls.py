@@ -1,15 +1,15 @@
 import hashlib
 import time
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
-from bielliptic.lattice import MukaiVector, l_invariant, mukai_pairing, square
-from bielliptic.linalg import hermite_rows
+from bielliptic.lattice import MukaiVector, l_invariant, l_invariant_any, mukai_pairing, square
+from bielliptic.linalg import hermite_rows, unimodular_completion
 from bielliptic.surfaces import surface_invariants
 from bielliptic.walls import (
     FAKE_WALL,
@@ -26,9 +26,11 @@ from bielliptic.walls import (
     hn_codim_bound,
     isotropic_rays,
     saturate_lattice,
+    wall_key,
+    wall_plane,
 )
 
-from conftest import mukai_vectors, surface_types
+from conftest import hermite_key, mukai_vectors, surface_types
 
 
 def H_of(t, v, w):
@@ -581,6 +583,57 @@ class TestShiftSymmetry:
                     assert sorted(u.as_tuple() for u in parts) == sorted(
                         g(u.as_tuple()) for u in found
                     ), name
+
+
+def sweep_key(t, v, w):
+    """wall_key of (v, w) from the plane data of the atlas sweep, or None if
+    (v, w) is not a wall: v . U = (alpha, beta) for U the unimodular
+    completion of w, g = gcd(beta), and the plane has the basis w0 = w /
+    content(w), u = (v - alpha*w0) / g, in which v = (alpha, g)."""
+    vt, w0 = v.as_tuple(), w.primitive_part()[1].as_tuple()
+    cols = unimodular_completion(w.as_tuple())
+    alpha, *beta = (sum(x * y for x, y in zip(vt, col)) for col in cols)
+    g = gcd(*beta)
+    if g == 0:
+        return None
+    plane = wall_plane(t, w0, tuple((x - alpha * y) // g for x, y in zip(vt, w0)))
+    if plane is None:
+        return None
+    return wall_key(plane[0], (alpha, g), l_invariant_any(t, v), plane[1])
+
+
+class TestWallKey:
+    @given(raw_instances, st.integers(1, 3))
+    @example((1, (1, 0, 0, -2), (2, 0, 0, 0)), 1)
+    @example((1, (1, 0, 0, -2), (0, 0, 0, 1)), 2)
+    @example((4, (3, 1, 2, -1), (0, 1, -1, 0)), 2)
+    @example((1, (3, 0, 0, -1), (0, 0, 0, 1)), 3)
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_plane_gives_the_hermite_key(self, raw, c):
+        # the key is read off any basis of the saturated plane: the sweep's
+        # (w0, u) and the Hermite basis give one key, also for generators
+        # with content c > 1
+        t, vt, wt = raw
+        v, w = MukaiVector(*vt), c * MukaiVector(*wt)
+        assume(square(v) > 0 and w.content())
+        assert sweep_key(t, v, w) == hermite_key(t, v, w)
+
+    def test_mod_3_bit_separates_two_walls(self):
+        # v^2 = 6 on ord_k = 2: both walls have a ray u with <v, u> = 3 and
+        # l(u) = 2, and only the first has 3 | v - u: (0,0,0,-1) against
+        # (0,-2,0,-1).  So only the first is Ord2ExceptionalDivisorial, and
+        # the bit is in its key
+        v = MukaiVector(3, 0, 0, -1)
+        labels = {"0,0,0,1": "Ord2ExceptionalDivisorial", "0,-2,0,-1": "Flopping"}
+        keys = {
+            "0,0,0,1": (1, 6, 1, -1, 1, ((0, 1, 1, False), (1, -3, 2, True))),
+            "0,-2,0,-1": (1, 6, 3, -9, 1, ((0, 1, 1, False), (1, -1, 2, False))),
+        }
+        for w, label in labels.items():
+            H = saturate_lattice(1, v, MukaiVector.parse(w))
+            assert (3, 2) in [(mukai_pairing(v, u), l_invariant(1, u)) for u in isotropic_rays(H)]
+            assert classify_wall(H).labels == frozenset({label})
+            assert hermite_key(1, v, MukaiVector.parse(w)) == keys[w]
 
 
 _APPROXIMATION_SEEDS = [
