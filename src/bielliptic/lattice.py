@@ -216,9 +216,6 @@ class CoverMukaiVector:
             - other.r * self.s
         )
 
-    def square(self) -> int:
-        return self.pairing(self)
-
     def content(self) -> int:
         return gcd(gcd(self.r, self.alpha), gcd(self.beta, self.s))
 

@@ -1,48 +1,12 @@
-"""Small exact integer linear algebra: Hermite reduction, extended gcd, saturation.
+"""Small exact integer linear algebra: extended gcd, unimodular completion,
+saturation.
 
-Everything operates on lists of Python-int rows; sizes here are tiny
-(2x4 matrices), so simple Euclidean row reduction is plenty.
+Everything operates on Python ints and lists of rows; sizes here are tiny
+(vectors in Z^4), so Euclid's algorithm is plenty.
 """
 
 from itertools import combinations
 from math import gcd
-
-
-def hermite_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form; returns the nonzero rows.
-
-    Pivots are positive and entries above each pivot are reduced into
-    [0, pivot), so the output is a canonical basis of the row lattice.
-    """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    m, n = len(mat), len(mat[0])
-    pivot_row = 0
-    for col in range(n):
-        nz = [i for i in range(pivot_row, m) if mat[i][col] != 0]
-        if not nz:
-            continue
-        while len(nz) > 1:
-            nz.sort(key=lambda i: abs(mat[i][col]))
-            base = nz[0]
-            for i in nz[1:]:
-                q = mat[i][col] // mat[base][col]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[base])]
-            nz = [i for i in nz if mat[i][col] != 0]
-        base = nz[0]
-        mat[pivot_row], mat[base] = mat[base], mat[pivot_row]
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-a for a in mat[pivot_row]]
-        p = mat[pivot_row][col]
-        for i in range(pivot_row):
-            q = mat[i][col] // p
-            if q:
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == m:
-            break
-    return mat[:pivot_row]
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -78,12 +42,13 @@ def unimodular_completion(w: tuple[int, ...]) -> list[list[int]]:
 
 
 def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Canonical basis of the saturation of the lattice spanned by two rows.
+    """A basis (p, f) of the saturation of the lattice spanned by two rows
+    (v, w), with p = v / content(v), so that v = content(v) * p.
 
-    With p = v / content(v) and d the gcd of the 2x2 minors of (p, w), the
-    saturation is spanned by p and (w + k*p) / d for k = -(y.w) mod d,
-    where y.p = 1 (see README, "The wall classifier").  Fewer than two
-    rows come back when the rows are linearly dependent (d = 0).
+    With d the gcd of the 2x2 minors of (p, w) and y.p = 1, the second
+    vector is f = (w - (y.w) p) / d (see README, "The wall classifier").
+    Only [p] comes back when the rows are linearly dependent (d = 0), and
+    nothing when v = 0.
     """
     v, w = rows
     c = gcd(*v)
@@ -92,7 +57,7 @@ def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
     p = [x // c for x in v]
     d = gcd(*(p[i] * w[j] - p[j] * w[i] for i, j in combinations(range(len(p)), 2)))
     if d == 0:
-        return hermite_rows([p])
+        return [p]
     # y.p = g = gcd of the coordinates of p seen so far; stop once it is 1
     g = yw = 0
     for px, wx in zip(p, w):
@@ -100,5 +65,4 @@ def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
         yw = a * yw + b * wx
         if g == 1:
             break
-    k = -yw % d
-    return hermite_rows([p, [(wx + k * px) // d for px, wx in zip(p, w)]])
+    return [p, [(wx - yw * px) // d for px, wx in zip(p, w)]]

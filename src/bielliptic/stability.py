@@ -34,10 +34,6 @@ class GeometricStability:
         if not self.omega.is_ample():
             raise PreconditionError(f"omega must be ample, got {self.omega}")
 
-    @classmethod
-    def of(cls, beta_a, beta_b, omega_a, omega_b) -> "GeometricStability":
-        return cls(QDivisor.of(beta_a, beta_b), QDivisor.of(omega_a, omega_b))
-
 
 @dataclass(frozen=True)
 class ComplexRational:

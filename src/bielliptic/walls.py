@@ -9,7 +9,7 @@ minimum of the filtration-stratum codimension bound over all of them,
 found by a max-weight search that does not list the decompositions.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -49,40 +49,11 @@ class HyperbolicPair:
     v: MukaiVector
     basis: tuple[MukaiVector, MukaiVector]
     gram: tuple[tuple[int, int], tuple[int, int]]
-    vxy: tuple[int, int] | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # v's coordinates in the basis (None if v is outside), computed once
-        object.__setattr__(self, "vxy", self.coords(self.v))
+    vxy: tuple[int, int]  # v = vxy[0] * basis[0] + vxy[1] * basis[1]
 
     def det(self) -> int:
         (g11, g12), (_, g22) = self.gram
         return g11 * g22 - g12 * g12
-
-    def coords(self, p: MukaiVector) -> tuple[int, int] | None:
-        """Integer coordinates of p in the basis, or None if p is outside.
-
-        x is read off e1's pivot column i (its first nonzero entry), since
-        p_i = x * e1_i when e2_i = 0; then y is read off e2's pivot column,
-        and all four coordinates are checked.  Precondition: e2 is zero in
-        e1's pivot column, as in the Hermite basis that saturate_lattice
-        builds.
-        """
-        e1, e2 = self.basis
-        a, b, pt = e1.as_tuple(), e2.as_tuple(), p.as_tuple()
-        i = 0
-        while not a[i]:
-            i += 1
-        j = 0
-        while not b[j]:
-            j += 1
-        x = pt[i] // a[i]
-        y = (pt[j] - x * a[j]) // b[j]
-        if (
-            x * a[0] + y * b[0], x * a[1] + y * b[1], x * a[2] + y * b[2], x * a[3] + y * b[3]
-        ) == pt:
-            return (x, y)
-        return None
 
     def from_coords(self, x: int, y: int) -> MukaiVector:
         e1, e2 = self.basis
@@ -115,13 +86,12 @@ def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
         (square(e1), mukai_pairing(e1, e2)),
         (mukai_pairing(e1, e2), square(e2)),
     )
-    pair = HyperbolicPair(surface=t, v=v, basis=(e1, e2), gram=gram)
+    # saturation_basis starts with v / content(v)
+    pair = HyperbolicPair(surface=t, v=v, basis=(e1, e2), gram=gram, vxy=(v.content(), 0))
     if pair.det() >= 0:
         raise NotHyperbolicError(
             f"span of {v.text()}, {w.text()} has Gram determinant {pair.det()} >= 0"
         )
-    if pair.vxy is None:
-        raise AssertionError("saturation lost v; this is a bug")
     return pair
 
 

@@ -33,12 +33,21 @@ def primitive_vectors(draw, rmin=1, rmax=30, cmax=30):
     return v
 
 
-def hermite_key(t, v, w):
-    """walls.wall_key of the wall (v, w), read off the Hermite basis that
-    saturate_lattice builds, or None if (v, w) is not a wall."""
+def basis_key(H):
+    """walls.wall_key of the wall lattice H, read off its basis."""
+    t = H.surface
+    rays = [
+        (x, y, l_invariant_any(t, H.from_coords(x, y)))
+        for x, y in walls.isotropic_directions(H.gram)
+    ]
+    return walls.wall_key(H.gram, H.vxy, l_invariant_any(t, H.v), rays)
+
+
+def saturation_key(t, v, w):
+    """basis_key of the wall (v, w) in the basis that saturate_lattice
+    builds, or None if (v, w) is not a wall."""
     try:
         H = walls.saturate_lattice(t, v, w)
     except PreconditionError:
         return None
-    rays = [(*H.coords(u), l_invariant_any(t, u)) for u in walls.isotropic_rays(H)]
-    return walls.wall_key(H.gram, H.vxy, l_invariant_any(t, v), rays)
+    return basis_key(H)

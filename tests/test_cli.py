@@ -21,7 +21,7 @@ from bielliptic.errors import PreconditionError
 from bielliptic.lattice import MukaiVector, plane_key, square
 from bielliptic.transforms import TransformLog
 
-from conftest import FIXTURES, hermite_key, primitive_vectors
+from conftest import FIXTURES, primitive_vectors, saturation_key
 
 
 def run(capsys, *argv):
@@ -442,7 +442,7 @@ class TestAtlas:
                                 p = cli._classification_payload(t, v, MukaiVector.parse(w), 4)
                             except PreconditionError:
                                 continue
-                            key = hermite_key(t, v, MukaiVector.parse(w))
+                            key = saturation_key(t, v, MukaiVector.parse(w))
                             planes.setdefault(key, set()).add(plane_key(v, MukaiVector.parse(w)))
                             codim = p["codim_bound"]
                             expected.append(

@@ -121,7 +121,7 @@ class TestPullbacks:
         v = MukaiVector.of(1, 1, 1, 0)
         cv = pullback_canonical(2, v)
         assert cv.lam == 2
-        assert cv.square() == 2 * square(v) == 4
+        assert cv.pairing(cv) == 2 * square(v) == 4
 
     def test_point_class(self):
         for t in all_types():

@@ -3,7 +3,9 @@
 `kernel_saturation` below is the earlier route, kept here as the reference:
 the saturation of a row lattice is the integer kernel of the integer kernel
 of the rows.  A second, independent reference comes from sympy's Smith and
-Hermite normal forms when sympy is installed.
+Hermite normal forms when sympy is installed.  Lattices are compared by
+their Hermite normal forms (`hermite_rows`), since the library returns a
+basis that starts at v / content(v) rather than a canonical one.
 """
 
 from fractions import Fraction
@@ -13,13 +15,50 @@ import pytest
 from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
-from bielliptic.linalg import ext_gcd, hermite_rows, saturation_basis, unimodular_completion
+from bielliptic.linalg import ext_gcd, saturation_basis, unimodular_completion
 
 try:
     import sympy
     from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 except ImportError:
     sympy = None
+
+
+def hermite_rows(rows):
+    """Row-style Hermite normal form; returns the nonzero rows.
+
+    Pivots are positive and entries above each pivot are reduced into
+    [0, pivot), so the output is a canonical basis of the row lattice.
+    """
+    mat = [list(r) for r in rows]
+    if not mat:
+        return []
+    m, n = len(mat), len(mat[0])
+    pivot_row = 0
+    for col in range(n):
+        nz = [i for i in range(pivot_row, m) if mat[i][col] != 0]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            nz.sort(key=lambda i: abs(mat[i][col]))
+            base = nz[0]
+            for i in nz[1:]:
+                q = mat[i][col] // mat[base][col]
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[base])]
+            nz = [i for i in nz if mat[i][col] != 0]
+        base = nz[0]
+        mat[pivot_row], mat[base] = mat[base], mat[pivot_row]
+        if mat[pivot_row][col] < 0:
+            mat[pivot_row] = [-a for a in mat[pivot_row]]
+        p = mat[pivot_row][col]
+        for i in range(pivot_row):
+            q = mat[i][col] // p
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[pivot_row])]
+        pivot_row += 1
+        if pivot_row == m:
+            break
+    return mat[:pivot_row]
 
 
 def kernel_basis(mat):
@@ -121,14 +160,14 @@ class TestSaturationBasis:
     @example([[-6, 4, 0, 2], [0, 0, -7, 0]])
     def test_matches_kernel_route(self, rows):
         assume(not dependent(rows))
-        assert saturation_basis(rows) == kernel_saturation(rows)
+        assert hermite_rows(saturation_basis(rows)) == kernel_saturation(rows)
 
     @given(coords, st.integers(-5, 5), st.integers(1, 5))
     def test_dependent_rows_give_one_row(self, v, n, c):
         assume(any(v))
         rows = [[c * x for x in v], [n * x for x in v]]
-        assert saturation_basis(rows) == kernel_saturation(rows)
-        assert len(saturation_basis(rows)) == 1
+        assert hermite_rows(saturation_basis(rows)) == kernel_saturation(rows)
+        assert saturation_basis(rows) == [[x // gcd(*v) for x in v]]
 
     def test_zero_first_row_gives_fewer_than_two_rows(self):
         assert len(saturation_basis([[0, 0, 0, 0], [1, 2, 3, 4]])) < 2
@@ -137,6 +176,9 @@ class TestSaturationBasis:
     def test_saturated_and_spanning_the_rows(self, rows):
         assume(not dependent(rows))
         e1, e2 = saturation_basis(rows)
+        # it starts at v / content(v), so v = content(v) * e1
+        v = rows[0]
+        assert [gcd(*v) * x for x in e1] == v
         # minors with gcd 1: the basis spans a saturated lattice
         assert gcd(*(e1[i] * e2[j] - e1[j] * e2[i] for i in range(4) for j in range(i + 1, 4))) == 1
         for row in rows:
@@ -155,4 +197,4 @@ class TestSaturationBasis:
         # so it is ours after reversing the coordinates and transposing
         H = hermite_normal_form(sympy.Matrix([row[::-1] for row in sat]).T)
         expected = [[int(x) for x in H[::-1, j]] for j in range(H.cols)][::-1]
-        assert saturation_basis(rows) == expected
+        assert hermite_rows(saturation_basis(rows)) == expected

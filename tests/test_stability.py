@@ -43,7 +43,11 @@ def stabilities(draw):
     )
 
 
-SIGMA = GeometricStability.of(0, 0, 1, 1)
+def sigma_of(beta_a, beta_b, omega_a, omega_b):
+    return GeometricStability(QDivisor.of(beta_a, beta_b), QDivisor.of(omega_a, omega_b))
+
+
+SIGMA = sigma_of(0, 0, 1, 1)
 
 
 class TestCentralCharge:
@@ -57,7 +61,7 @@ class TestCentralCharge:
 
     def test_fibre_class_scales_with_omega(self):
         t = Fraction(7, 3)
-        sigma = GeometricStability.of(0, 0, t, t)
+        sigma = sigma_of(0, 0, t, t)
         z = central_charge(1, MukaiVector.of(0, 1, 0, 0), sigma)
         assert (z.re, z.im) == (0, t)
 
@@ -168,8 +172,8 @@ class TestBayerMacri:
 
     def test_inverse_scaling(self):
         v = MukaiVector.of(1, 0, 0, 0)
-        xi1 = bayer_macri_class(1, v, GeometricStability.of(0, 0, 1, 1))
-        xi2 = bayer_macri_class(1, v, GeometricStability.of(0, 0, 2, 2))
+        xi1 = bayer_macri_class(1, v, sigma_of(0, 0, 1, 1))
+        xi2 = bayer_macri_class(1, v, sigma_of(0, 0, 2, 2))
         assert xi2.as_tuple() == tuple(c / 2 for c in xi1.as_tuple())
 
     def test_degenerate_charge(self):

@@ -20,7 +20,7 @@ import pytest
 from bielliptic import cli, lattice, linalg, walls
 from bielliptic.lattice import MukaiVector, square
 
-from conftest import hermite_key
+from conftest import saturation_key
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 WORKLOADS = TRACING.parent / "workloads.py"
@@ -106,7 +106,7 @@ def test_atlas_classifies_each_key_once(types, bounds, generators, keys):
                 continue
             for w in map(MukaiVector.parse, generators):
                 members = orbit(v.as_tuple(), w.as_tuple())
-                key = hermite_key(t, v, w) if members else None
+                key = saturation_key(t, v, w) if members else None
                 if key is not None:
                     distinct.add(key)
                     walls_found += 1

@@ -8,8 +8,15 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
-from bielliptic.lattice import MukaiVector, l_invariant, l_invariant_any, mukai_pairing, square
-from bielliptic.linalg import hermite_rows, unimodular_completion
+from bielliptic.lattice import (
+    MukaiVector,
+    l_invariant,
+    l_invariant_any,
+    mukai_pairing,
+    plane_key,
+    square,
+)
+from bielliptic.linalg import ext_gcd, unimodular_completion
 from bielliptic.surfaces import surface_invariants
 from bielliptic.walls import (
     FAKE_WALL,
@@ -18,6 +25,7 @@ from bielliptic.walls import (
     INDETERMINATE,
     NO_WALL,
     P1_FIBRATION,
+    HyperbolicPair,
     _decomposition_search,
     _positive_classes,
     approximate_isotropic_full_l,
@@ -30,7 +38,7 @@ from bielliptic.walls import (
     wall_plane,
 )
 
-from conftest import hermite_key, mukai_vectors, surface_types
+from conftest import basis_key, mukai_vectors, saturation_key, surface_types
 
 
 def H_of(t, v, w):
@@ -71,65 +79,10 @@ def build_instance(raw):
         return None
 
 
-class TestSaturation:
-    def test_already_saturated(self):
-        H = H_of(1, (1, 0, 0, -2), (0, 0, 0, 1))
-        assert [e.as_tuple() for e in H.basis] == [(1, 0, 0, 0), (0, 0, 0, 1)]
-        assert H.gram == ((0, -1), (-1, 0))
-        assert H.det() == -1
-        assert H.vxy == (1, -2)
-
-    def test_index_two_sublattice(self):
-        H = H_of(1, (2, 0, 0, -2), (2, 0, 0, 0))
-        assert [e.as_tuple() for e in H.basis] == [(1, 0, 0, 0), (0, 0, 0, 1)]
-        assert H.gram == ((0, -1), (-1, 0))
-        assert H.coords(MukaiVector.of(1, 0, 0, -1)) == (1, -1)
-        assert H.coords(MukaiVector.of(1, 0, 0, 0)) == (1, 0)
-
-    def test_index_two_with_reduced_entries(self):
-        # v = e1 + e2 and w = 2*e2 for the HNF basis e1 = (2,0,1,-1), e2 = (0,1,0,1)
-        H = H_of(1, (2, 1, 1, 0), (0, 2, 0, 2))
-        assert [e.as_tuple() for e in H.basis] == [(2, 0, 1, -1), (0, 1, 0, 1)]
-        assert H.gram == ((4, -1), (-1, 0))
-        assert H.vxy == (1, 1)
-
-    def test_index_six_non_primitive_v(self):
-        # v = 2*e1 and w = 3*e2: the span has index 6 in its saturation
-        H = H_of(1, (2, 2, 4, -2), (0, 6, 0, 3))
-        assert [e.as_tuple() for e in H.basis] == [(1, 1, 2, -1), (0, 2, 0, 1)]
-        assert H.gram == ((6, 3), (3, 0))
-        assert H.vxy == (2, 0)
-
-    def test_cached_coordinates_with_plain_constructor(self):
-        H = H_of(1, (1, 0, 0, -1), (0, 0, 0, 1))
-        outside = type(H)(
-            surface=1, v=MukaiVector.of(1, 1, 0, 0), basis=H.basis, gram=H.gram
-        )
-        assert outside.vxy is None
-        assert type(H)(surface=1, v=H.v, basis=H.basis, gram=H.gram) == H
-
-    def test_collinear_rejected(self):
-        v = MukaiVector.of(1, 0, 0, -1)
-        zero = MukaiVector.of(0, 0, 0, 0)
-        for pair in [(v, 2 * v), (3 * v, -2 * v), (zero, v), (v, zero)]:
-            with pytest.raises(PreconditionError, match="collinear"):
-                saturate_lattice(1, *pair)
-
-    def test_nonpositive_square_rejected(self):
-        with pytest.raises(PreconditionError):
-            saturate_lattice(1, MukaiVector.of(1, 0, 0, 0), MukaiVector.of(0, 0, 0, 1))
-
-    def test_definite_plane_rejected(self):
-        # span{(1,0,0,-1), (0,1,1,0)}: gram [[2,0],[0,2]] is positive definite
-        with pytest.raises(NotHyperbolicError):
-            saturate_lattice(1, MukaiVector.of(1, 0, 0, -1), MukaiVector.of(0, 1, 1, 0))
-
-    @given(raw_instances)
-    def test_gram_always_hyperbolic(self, raw):
-        inst = build_instance(raw)
-        assume(inst is not None)
-        _, H = inst
-        assert H.det() < 0
+def minor_gcd(e1, e2):
+    """gcd of the six 2x2 minors of (e1, e2); 1 iff they span a saturated plane."""
+    a, b = e1.as_tuple(), e2.as_tuple()
+    return gcd(*(a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)))
 
 
 def reference_coords(H, p):
@@ -154,37 +107,135 @@ def reference_coords(H, p):
     return None
 
 
-class TestPivotCoordinates:
-    @given(raw_instances)
-    def test_matches_the_minor_search(self, raw):
-        inst = build_instance(raw)
-        assume(inst is not None)
-        _, H = inst
-        e1, e2 = H.basis
-        v = H.v
-        inside = [v, e1 + e2]
-        for u in isotropic_rays(H):
-            inside += [u, v - u]
-        for p in inside:
-            assert H.coords(p) is not None
-            assert H.coords(p) == reference_coords(H, p), p
-        for k in range(4):
-            unit = MukaiVector.of(*(int(i == k) for i in range(4)))
-            if len(hermite_rows([e1.as_tuple(), e2.as_tuple(), unit.as_tuple()])) == 3:
-                assert H.coords(v + unit) is None
-                assert reference_coords(H, v + unit) is None
+def assert_saturates(H, w, spanning=None):
+    """H's basis spans the saturation of span{v, w} and starts at
+    v / content(v); it spans the lattice of the rows ``spanning`` if given."""
+    e1, e2 = H.basis
+    assert plane_key(e1, e2) == plane_key(H.v, w)
+    assert minor_gcd(e1, e2) == 1
+    assert H.vxy == (H.v.content(), 0)
+    assert H.from_coords(*H.vxy) == H.v
+    if spanning is not None:
+        (x1, y1), (x2, y2) = (reference_coords(H, MukaiVector.of(*row)) for row in spanning)
+        assert abs(x1 * y2 - x2 * y1) == 1
+
+
+class TestSaturation:
+    def test_already_saturated(self):
+        H = H_of(1, (1, 0, 0, -2), (0, 0, 0, 1))
+        assert_saturates(H, MukaiVector.of(0, 0, 0, 1), [(1, 0, 0, 0), (0, 0, 0, 1)])
+        assert H.gram == ((4, -1), (-1, 0))
+        assert H.det() == -1
+        assert H.vxy == (1, 0)
+
+    def test_index_two_sublattice(self):
+        H = H_of(1, (2, 0, 0, -2), (2, 0, 0, 0))
+        assert_saturates(H, MukaiVector.of(2, 0, 0, 0), [(1, 0, 0, 0), (0, 0, 0, 1)])
+        assert H.det() == -1
+        assert H.vxy == (2, 0)
+        assert reference_coords(H, MukaiVector.of(1, 0, 0, -1)) == (1, 0)
+
+    def test_index_two_with_reduced_entries(self):
+        # v = e1 + e2 and w = 2*e2 for e1 = (2,0,1,-1), e2 = (0,1,0,1)
+        H = H_of(1, (2, 1, 1, 0), (0, 2, 0, 2))
+        assert_saturates(H, MukaiVector.of(0, 2, 0, 2), [(2, 0, 1, -1), (0, 1, 0, 1)])
+        assert H.det() == -1
+        assert H.vxy == (1, 0)
+
+    def test_index_six_non_primitive_v(self):
+        # v = 2*e1 and w = 3*e2: the span has index 6 in its saturation
+        H = H_of(1, (2, 2, 4, -2), (0, 6, 0, 3))
+        assert_saturates(H, MukaiVector.of(0, 6, 0, 3), [(1, 1, 2, -1), (0, 2, 0, 1)])
+        assert H.det() == -9
+        assert H.vxy == (2, 0)
+
+    def test_cached_coordinates_with_plain_constructor(self):
+        H = H_of(1, (1, 0, 0, -1), (0, 0, 0, 1))
+        assert type(H)(surface=1, v=H.v, basis=H.basis, gram=H.gram, vxy=H.vxy) == H
+        # v' = e1 + e2 in the same basis; the coordinates are part of the value
+        other = type(H)(
+            surface=1, v=MukaiVector.of(1, 0, 0, 0), basis=H.basis, gram=H.gram, vxy=(1, 1)
+        )
+        assert other.from_coords(*other.vxy) == other.v
+        assert other != H
+
+    def test_collinear_rejected(self):
+        v = MukaiVector.of(1, 0, 0, -1)
+        zero = MukaiVector.of(0, 0, 0, 0)
+        for pair in [(v, 2 * v), (3 * v, -2 * v), (zero, v), (v, zero)]:
+            with pytest.raises(PreconditionError, match="collinear"):
+                saturate_lattice(1, *pair)
+
+    def test_nonpositive_square_rejected(self):
+        with pytest.raises(PreconditionError):
+            saturate_lattice(1, MukaiVector.of(1, 0, 0, 0), MukaiVector.of(0, 0, 0, 1))
+
+    def test_definite_plane_rejected(self):
+        # span{(1,0,0,-1), (0,1,1,0)}: gram [[2,0],[0,2]] is positive definite
+        with pytest.raises(NotHyperbolicError):
+            saturate_lattice(1, MukaiVector.of(1, 0, 0, -1), MukaiVector.of(0, 1, 1, 0))
 
     @given(raw_instances)
-    def test_saturated_basis_is_hermite(self, raw):
-        # the precondition of the pivot read
+    def test_gram_always_hyperbolic(self, raw):
         inst = build_instance(raw)
         assume(inst is not None)
         _, H = inst
-        a, b = (e.as_tuple() for e in H.basis)
-        i = next(k for k in range(4) if a[k])
-        j = next(k for k in range(4) if b[k])
-        assert a[i] > 0 and b[j] > 0
-        assert i < j and b[i] == 0
+        assert H.det() < 0
+
+    @given(raw_instances, st.integers(1, 3))
+    @example((1, (2, 0, 0, -2), (1, 0, 0, 0)), 2)
+    def test_basis_saturates_the_plane(self, raw, c):
+        # on every wall, also for a generator w with content c > 1
+        t, vt, wt = raw
+        w = c * MukaiVector.of(*wt)
+        inst = build_instance((t, vt, w.as_tuple()))
+        assume(inst is not None)
+        assert_saturates(inst[1], w)
+
+
+def change_basis(H, m):
+    """H with the basis (e1, e2) replaced by m (e1, e2), where m is a 2x2
+    integer matrix of determinant +-1 given by rows; gram and vxy move along."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    assert det in (1, -1)
+    x, y = H.vxy
+    f1, f2 = H.from_coords(a, b), H.from_coords(c, d)
+    gram = tuple(tuple(H.pair(p, q) for q in m) for p in m)
+    assert gram == tuple(tuple(mukai_pairing(p, q) for q in (f1, f2)) for p in (f1, f2))
+    # (x, y) = (x', y') m, so (x', y') = (x, y) m^-1
+    vxy = ((x * d - y * c) * det, (y * a - x * b) * det)
+    return HyperbolicPair(surface=H.surface, v=H.v, basis=(f1, f2), gram=gram, vxy=vxy)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """A 2x2 integer matrix of determinant +-1: a primitive first row,
+    completed by extended gcd, sheared by k and possibly negated."""
+    a, b = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    assume(gcd(a, b) == 1)
+    _, x, y = ext_gcd(a, b)  # a*x + b*y = 1
+    k, sign = draw(st.integers(-4, 4)), draw(st.sampled_from([1, -1]))
+    return (a, b), (sign * (k * a - y), sign * (k * b + x))
+
+
+class TestBasisChange:
+    """classify_wall and wall_key read only invariants of (H, v): any basis
+    of the saturated lattice gives the same classification and key."""
+
+    @given(raw_instances, unimodular_matrices())
+    @example((1, (3, 0, 0, -1), (0, 0, 0, 1)), ((1, 1), (0, 1)))  # Ord2ExceptionalDivisorial
+    @example((1, (2, 0, 0, -2), (0, 0, 0, 1)), ((2, 1), (1, 1)))  # v non-primitive
+    @example((1, (6, 4, -4, -4), (1, 0, 0, 0)), ((0, 1), (1, 0)))  # IndeterminateNonPrimitive
+    @settings(max_examples=150, deadline=None)
+    def test_classification_ignores_the_basis(self, raw, m):
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        Hm = change_basis(H, m)
+        assert Hm.from_coords(*Hm.vxy) == H.v
+        assert classify_wall(Hm) == classify_wall(H)
+        assert basis_key(Hm) == basis_key(H)
 
 
 class TestIsotropicRays:
@@ -218,12 +269,12 @@ class TestIsotropicRays:
         rays = isotropic_rays(H)
         if len(rays) != 2:
             return
-        c1 = H.coords(rays[0])
-        c2 = H.coords(rays[1])
+        c1 = reference_coords(H, rays[0])
+        c2 = reference_coords(H, rays[1])
         det = c1[0] * c2[1] - c1[1] * c2[0]
         for parts in enumerate_decompositions(H, 2)[:6]:
             for p in parts:
-                px, py = H.coords(p)
+                px, py = reference_coords(H, p)
                 s = Fraction(px * c2[1] - py * c2[0], det)
                 u = Fraction(c1[0] * py - c1[1] * px, det)
                 assert s >= 0 and u >= 0
@@ -243,7 +294,7 @@ def box_scan_positive_classes(H, cap):
     v's orthogonal complement, no cross term), and M(p) <= 2 cap^2 on the
     wanted set, so |x|^2 <= 2 cap^2 M(e2) / det M and likewise for y.
     """
-    vxy = H.coords(H.v)
+    vxy = reference_coords(H, H.v)
     v2 = H.q(vxy)
 
     def M(p):
@@ -471,7 +522,9 @@ class TestClassification:
 
     def test_rejects_nonpositive_square(self):
         H = H_of(1, (1, 0, 0, -1), (0, 0, 0, 1))
-        bad = type(H)(surface=H.surface, v=MukaiVector.of(1, 0, 0, 0), basis=H.basis, gram=H.gram)
+        bad = type(H)(
+            surface=H.surface, v=MukaiVector.of(1, 0, 0, 0), basis=H.basis, gram=H.gram, vxy=(1, 1)
+        )
         with pytest.raises(PreconditionError):
             classify_wall(bad)
 
@@ -560,8 +613,9 @@ class TestShiftSymmetry:
         for name, g in _SIGN_ISOMETRIES.items():
             _, Hg = build_instance((t, g(vt), g(wt)))
             if name == "-1":
-                # the same plane; D moves it
-                assert (Hg.basis, Hg.gram) == (H.basis, H.gram)
+                # the same plane and lattice; D moves it
+                assert plane_key(*Hg.basis) == plane_key(*H.basis)
+                assert Hg.det() == H.det()
             cg = classify_wall(Hg)
             assert (cg.totally_semistable, cg.labels, cg.codim_bound) == (
                 c.totally_semistable, c.labels, c.codim_bound
@@ -609,14 +663,14 @@ class TestWallKey:
     @example((4, (3, 1, 2, -1), (0, 1, -1, 0)), 2)
     @example((1, (3, 0, 0, -1), (0, 0, 0, 1)), 3)
     @settings(max_examples=300, deadline=None)
-    def test_sweep_plane_gives_the_hermite_key(self, raw, c):
+    def test_sweep_plane_gives_the_saturation_key(self, raw, c):
         # the key is read off any basis of the saturated plane: the sweep's
-        # (w0, u) and the Hermite basis give one key, also for generators
-        # with content c > 1
+        # (w0, u) and the basis of saturate_lattice give one key, also for
+        # generators with content c > 1; the two constructions share no code
         t, vt, wt = raw
         v, w = MukaiVector(*vt), c * MukaiVector(*wt)
         assume(square(v) > 0 and w.content())
-        assert sweep_key(t, v, w) == hermite_key(t, v, w)
+        assert sweep_key(t, v, w) == saturation_key(t, v, w)
 
     def test_mod_3_bit_separates_two_walls(self):
         # v^2 = 6 on ord_k = 2: both walls have a ray u with <v, u> = 3 and
@@ -633,7 +687,7 @@ class TestWallKey:
             H = saturate_lattice(1, v, MukaiVector.parse(w))
             assert (3, 2) in [(mukai_pairing(v, u), l_invariant(1, u)) for u in isotropic_rays(H)]
             assert classify_wall(H).labels == frozenset({label})
-            assert hermite_key(1, v, MukaiVector.parse(w)) == keys[w]
+            assert saturation_key(1, v, MukaiVector.parse(w)) == keys[w]
 
 
 _APPROXIMATION_SEEDS = [
