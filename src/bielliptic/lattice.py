@@ -14,12 +14,25 @@ from bielliptic.errors import PreconditionError
 from bielliptic.surfaces import surface_invariants
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """Integral divisor class a*A0 + b*B0 in Num(S)."""
+    """Integral divisor class a*A0 + b*B0 in Num(S); immutable by convention."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.a = a
+        self.b = b
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
 
     def self_int(self) -> int:
         """D^2 = 2ab, always even."""

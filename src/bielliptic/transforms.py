@@ -28,9 +28,24 @@ from bielliptic.lattice import DivisorClass, MukaiVector, square
 from bielliptic.surfaces import surface_invariants
 
 
-@dataclass(frozen=True)
 class TwistBy:
-    D: DivisorClass
+    """Twist by the line bundle of class D; immutable by convention."""
+
+    __slots__ = ("D",)
+
+    def __init__(self, D: DivisorClass):
+        self.D = D
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.D == other.D
+
+    def __hash__(self) -> int:
+        return hash(self.D)
+
+    def __repr__(self) -> str:
+        return f"TwistBy(D={self.D!r})"
 
     def describe(self) -> dict:
         return {"step": "twist", "params": {"a": self.D.a, "b": self.D.b}}
@@ -67,13 +82,15 @@ _STEP_NAMES = {a.value: a for a in _Atom}
 
 
 def step_from_json(obj: dict) -> TransformStep:
-    name = obj["step"]
-    if name == "twist":
-        return TwistBy(DivisorClass(int(obj["params"]["a"]), int(obj["params"]["b"])))
-    try:
+    """Parse one item as describe() writes it; any other item raises
+    ValueError naming it.  Twist parameters must be ints (not bools)."""
+    name, params = (obj.get("step"), obj.get("params")) if isinstance(obj, dict) else (None, None)
+    if name == "twist" and isinstance(params, dict) and params.keys() == {"a", "b"}:
+        if all(x.__class__ is int for x in params.values()):
+            return TwistBy(DivisorClass(params["a"], params["b"]))
+    elif name.__class__ is str and name in _STEP_NAMES and params is None:
         return _STEP_NAMES[name]
-    except KeyError:
-        raise ValueError(f"unknown transform step {name!r}") from None
+    raise ValueError(f"malformed or unknown transform step {obj!r}")
 
 
 def _act(step: TransformStep, lam: int, ordk: int, r: int, a: int, b: int, s: int):
@@ -219,7 +236,7 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
             emit(step)
             r, a, b, s = act(step, lam, ordk, r, a, b, s)
 
-        if not _a_reduced(a, r, lam):
+        if not (a == 0 or (lam > 1 and lam * a == r)):  # _a_reduced, inlined
             if 2 * a > r:
                 step = DUAL
             elif lam * a < r:

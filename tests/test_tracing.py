@@ -2,8 +2,8 @@
 
 `bench/tracing.py` looks each one up as a module attribute, so deleting or
 renaming one breaks every `--trace 1` run.  This loads the tracer by path,
-installs it, checks that a traced wall lattice records the layers the
-benchmark reports, and removes it again.  `bench/workloads.py` calls the
+installs it, checks that a traced wall lattice and a traced reduction
+record the layers the benchmark reports, and removes it again.  `bench/workloads.py` calls the
 library directly; its names are checked from its source.
 """
 
@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from bielliptic import cli, lattice, linalg, walls
+from bielliptic import cli, lattice, linalg, moduli, transforms, walls
 from bielliptic.lattice import MukaiVector, square
 
 from conftest import saturation_key
@@ -43,6 +43,10 @@ def test_tracer_installs_and_removes():
         (walls, "enumerate_decompositions"): walls.enumerate_decompositions,
         (walls, "classify_wall"): walls.classify_wall,
         (lattice, "mukai_pairing"): lattice.mukai_pairing,
+        (transforms, "reduce_to_table"): transforms.reduce_to_table,
+        (transforms, "matches_reduced_form"): transforms.matches_reduced_form,
+        (moduli, "gieseker_report"): moduli.gieseker_report,
+        (moduli, "singularity_report"): moduli.singularity_report,
     }
     tracer = tracing.Tracer()
     installed = tracing.install(tracer)
@@ -52,6 +56,7 @@ def test_tracer_installs_and_removes():
         tracer.on = True
         H = walls.saturate_lattice(1, MukaiVector(2, 0, 1, -1), MukaiVector(0, 0, 0, 1))
         walls.classify_wall(H)
+        transforms.reduce_to_table(1, MukaiVector(3, 1, 1, 0))
         tracer.on = False
     finally:
         installed.remove()
@@ -62,6 +67,7 @@ def test_tracer_installs_and_removes():
         "linalg.saturation_basis",
         "walls.isotropic_rays",
         "walls.classify_wall.v2_le_20",
+        "transforms.reduce_to_table.r_le_40",
     } <= set(tracer.stats)
 
 

@@ -1,13 +1,14 @@
 import hashlib
 import random
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bielliptic.cli import run_command
-from bielliptic.errors import PreconditionError
-from bielliptic.lattice import DivisorClass, MukaiVector, mukai_pairing, square
+from bielliptic.errors import PreconditionError, ReductionBudgetError
+from bielliptic.lattice import DivisorClass, MukaiVector, QDivisor, mukai_pairing, square
 from bielliptic.surfaces import all_types, surface_invariants
 from bielliptic.transforms import (
     DUAL,
@@ -28,6 +29,9 @@ from bielliptic.transforms import (
     matches_reduced_form,
     reduce_to_table,
     step_from_json,
+    _a_reduced,
+    _act,
+    _b_reduced,
 )
 
 from conftest import mukai_vectors, primitive_vectors, surface_types
@@ -139,6 +143,93 @@ class TestLogs:
         with pytest.raises(ValueError):
             step_from_json({"step": "frobnicate", "params": None})
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"step": "twist"},
+            {"step": "twist", "params": None},
+            {"step": "twist", "params": {"a": 1}},
+            {"step": "twist", "params": {"a": 1, "b": 2, "c": 3}},
+            {"step": "twist", "params": [1, 2]},
+            {"a": 1},
+            {},
+            None,
+            "dual",
+            ["dual", None],
+            {"step": ["dual"], "params": None},
+            {"step": "dual", "params": {"a": 1, "b": 2}},
+        ],
+        ids=repr,
+    )
+    def test_malformed_item_rejected(self, item):
+        with pytest.raises(ValueError, match=re.escape(repr(item))):
+            step_from_json(item)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, True, False, "1", None])
+    def test_twist_parameter_must_be_an_int(self, bad):
+        # int() would truncate 1.5 or read True as 1 and replay another twist
+        for params in ({"a": bad, "b": 0}, {"a": 0, "b": bad}):
+            item = {"step": "twist", "params": params}
+            with pytest.raises(ValueError, match=re.escape(repr(item))):
+                step_from_json(item)
+
+    def test_well_formed_items_parse(self):
+        big = 10**30
+        assert step_from_json({"step": "twist", "params": {"b": -big, "a": 0}}) == TwistBy(
+            DivisorClass(0, -big)
+        )
+        assert step_from_json({"step": "psi_dual_move", "params": None}) is PSI_DUAL_MOVE
+
+
+class TestFlatValues:
+    """DivisorClass and TwistBy are flat __slots__ values with the equality,
+    hash and repr that frozen dataclasses of the same fields would have."""
+
+    def test_equal_fields_give_equal_values_and_hashes(self):
+        D, E = DivisorClass(1, 2), DivisorClass(a=1, b=2)
+        assert D == E and hash(D) == hash(E) == hash((1, 2))
+        assert D != DivisorClass(2, 1) and D != DivisorClass(1, 3)
+        tw, tw2 = TwistBy(D), TwistBy(D=E)
+        assert tw == tw2 and hash(tw) == hash(tw2) == hash(D)
+        assert tw != TwistBy(DivisorClass(0, 2))
+        assert (D.a, D.b, tw.D) == (1, 2, E)
+
+    def test_other_classes_are_never_equal(self):
+        D = DivisorClass(1, 2)
+        assert D != QDivisor.of(1, 2) and QDivisor.of(1, 2) != D
+        assert D != (1, 2)
+        assert D.__eq__(QDivisor.of(1, 2)) is NotImplemented
+        tw = TwistBy(D)
+        assert tw != D and D != tw
+        assert tw != DUAL and DUAL != tw
+        assert tw.__eq__(D) is NotImplemented
+
+    def test_reprs_are_pinned(self):
+        assert repr(DivisorClass(1, 2)) == "DivisorClass(a=1, b=2)"
+        assert repr(TwistBy(DivisorClass(1, 2))) == "TwistBy(D=DivisorClass(a=1, b=2))"
+        assert repr(DivisorClass(-3, 0)) == "DivisorClass(a=-3, b=0)"
+
+    def test_no_instance_dict(self):
+        for value in (DivisorClass(1, 2), TwistBy(DivisorClass(1, 2))):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                value.c = 1
+
+    def test_steps_as_dict_keys(self):
+        # a step histogram, as criterion 5 keeps one, keyed by the steps
+        steps = [TwistBy(DivisorClass(1, 0)), DUAL, TwistBy(DivisorClass(1, 0)), PHI_INV]
+        steps += [TwistBy(DivisorClass(0, 1)), DUAL]
+        hist = {}
+        for step in steps:
+            hist[step] = hist.get(step, 0) + 1
+        assert hist == {
+            TwistBy(DivisorClass(1, 0)): 2,
+            DUAL: 2,
+            PHI_INV: 1,
+            TwistBy(DivisorClass(0, 1)): 1,
+        }
+        assert {DivisorClass(1, 0): "A0"}[DivisorClass(1, 0)] == "A0"
+
 
 class TestReduce:
     def test_already_reduced(self):
@@ -212,6 +303,132 @@ def test_type6_stuck_form_is_deterministic():
     assert (v0.r, v0.a, v0.b) == (3, 1, 2)
     assert log.replay(6, MukaiVector.of(3, 1, 2, 0)) == v0
     assert not matches_reduced_form(6, v0)
+
+
+def _reference_reduce(t, v):
+    """The reduction loop as it stood when DivisorClass and TwistBy were
+    frozen dataclasses and the loop called _a_reduced, kept verbatim so that
+    reduce_to_table can be checked against it branch by branch."""
+    if v.r < 1:
+        raise PreconditionError(f"reduction needs rank >= 1, got {v.r}")
+    if not v.is_primitive():
+        raise PreconditionError(f"reduction needs a primitive vector, got {v.text()}")
+
+    data = surface_invariants(t)
+    lam, ordk = data.lam, data.ord_k
+    act = _act
+    steps = []
+    emit = steps.append
+    r, a, b, s = v.r, v.a, v.b, v.s
+    budget = 20 * r + 100
+    fuel = budget
+
+    while True:
+        fuel -= 1
+        if fuel < 0:
+            raise ReductionBudgetError(
+                f"reduction of {v.text()} on type {t} did not converge within "
+                f"its budget of 20*r + 100 = {budget} rounds"
+            )
+        # one twist putting a and b into [0, r); after a dual it completes
+        # the flip a -> (r - a) mod r, b -> (r - b) mod r
+        x = -(a // r)
+        y = -(b // r)
+        if x or y:
+            step = TwistBy(DivisorClass(x, y))
+            emit(step)
+            r, a, b, s = act(step, lam, ordk, r, a, b, s)
+
+        if not _a_reduced(a, r, lam):
+            if 2 * a > r:
+                step = DUAL
+            elif lam * a < r:
+                step = PHI_INV
+            else:
+                # lambda = 3 and r/3 < a <= r/2
+                step = TYPE6_A_MOVE
+        elif _b_reduced(b, r, ordk):
+            return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
+        elif 2 * b > r and (a == 0 or 2 * a == r):
+            step = DUAL
+        elif ordk * b < r:
+            step = PSI_INV
+        elif ordk == 3:
+            if 3 * b < 2 * r:
+                step = ORD3_B_MOVE
+            elif 3 * b == 2 * r:
+                # a = r/3 here; the escape below is rank-neutral and moves b
+                # off the stuck residue unless r = 3 (k | s forces k = 1).
+                if s % (r // 3) == 0:
+                    return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
+                step = TYPE6_A_MOVE
+            else:
+                step = TwistBy(DivisorClass(0, -1))
+                emit(step)
+                r, a, b, s = act(step, lam, ordk, r, a, b, s)
+                step = PSI
+        else:
+            # ord 4 or 6, r/ord < b < 2r/ord after the safe flip
+            step = PSI_DUAL_MOVE
+        emit(step)
+        r, a, b, s = act(step, lam, ordk, r, a, b, s)
+
+
+# one (type, vector) pair per branch of the loop, pinned as examples of the
+# reference comparison below; the next test checks each takes its branch
+REFERENCE_BRANCHES = {
+    "dual_on_a": (6, "3,-1,-3,-3"),
+    "phi_inv": (1, "2,-1,-2,-2"),
+    "type6_a_move": (6, "2,-1,-2,-2"),
+    "a_reduced_at_r_over_lambda": (2, "2,-1,-2,-2"),
+    "dual_on_b": (5, "3,-3,-1,-3"),
+    "psi_inv": (1, "3,-3,-2,-3"),
+    "ord3_b_move": (5, "2,-2,-1,-2"),
+    "ord3_escape_returns": (6, "3,1,2,0"),
+    "ord3_escape_moves": (6, "9,-6,-3,-8"),
+    "twist_0_-1_then_psi": (6, "9,-6,-2,-9"),
+    "psi_dual_move": (3, "3,-3,-2,-3"),
+    "stuck_type6": (6, "18,25,20,-23"),
+    "long_phi_inv_chain": (1, "1000,1,0,0"),
+}
+
+
+def _with_branch_examples(test):
+    for t, text in REFERENCE_BRANCHES.values():
+        test = example(t=t, v=MukaiVector.parse(text))(test)
+    return test
+
+
+def test_reference_branch_examples_take_their_steps():
+    # the pinned examples above really reach the branch they are named for
+    def first_steps(name):
+        t, text = REFERENCE_BRANCHES[name]
+        return [item["step"] for item in _reference_reduce(t, MukaiVector.parse(text))[1].to_json()]
+
+    for name, step in [
+        ("dual_on_a", "dual"), ("phi_inv", "phi_inv"), ("type6_a_move", "type6_a_move"),
+        ("dual_on_b", "dual"), ("psi_inv", "psi_inv"), ("ord3_b_move", "ord3_b_move"),
+        ("ord3_escape_moves", "type6_a_move"), ("psi_dual_move", "psi_dual_move"),
+    ]:
+        assert step in first_steps(name)[:2], name
+    assert first_steps("twist_0_-1_then_psi")[1:3] == ["twist", "psi"]
+    assert first_steps("ord3_escape_returns") == []
+    assert first_steps("a_reduced_at_r_over_lambda") == ["twist"]
+    assert first_steps("long_phi_inv_chain").count("phi_inv") == 999
+    v0, _ = _reference_reduce(6, MukaiVector.parse(REFERENCE_BRANCHES["stuck_type6"][1]))
+    assert (v0.a, v0.b) == (v0.r // 3, 2 * v0.r // 3)
+
+
+# a fixed example sequence keeps this near 0.3 s: a draw with |a| small
+# against r near 10^6 costs about r/|a| PHI_INV steps in each loop
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(t=surface_types, v=primitive_vectors(rmin=1, rmax=10**6, cmax=10**6))
+@_with_branch_examples
+def test_reduction_matches_reference_loop(t, v):
+    got_v0, got_log = reduce_to_table(t, v)
+    ref_v0, ref_log = _reference_reduce(t, v)
+    assert got_v0 == ref_v0
+    assert got_log.to_json() == ref_log.to_json()
 
 
 class TestExceptional:
