@@ -22,7 +22,7 @@ from bielliptic.oracle import enumerate_equality_cases
 from bielliptic.stability import EVERYWHERE, NOWHERE, locus_samples, wall_in_slice
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
-from bielliptic.walls import classify_wall, saturate_lattice, wall_key, wall_plane
+from bielliptic.walls import HyperbolicPair, classify_wall, saturate_lattice, wall_key, wall_plane
 
 SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
@@ -78,7 +78,6 @@ def _cmd_info(args) -> int:
 def _cmd_pair(args) -> int:
     v = MukaiVector.parse(args.v)
     w = MukaiVector.parse(args.w)
-    surface_invariants(args.type)
     payload = {
         "schema": SCHEMA,
         "type": args.type,
@@ -268,15 +267,15 @@ def _cmd_oracle_cases(args) -> int:
 
 def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[tuple]:
     """The unsorted CSV rows of every wall (v, w) with v in the box."""
-    # A row is a function of walls.wall_key: classify each key once.  The
-    # key needs v's plane Z*w0 + Z*u and v = (alpha, g) in it, read off
+    # A row is a function of walls.wall_key: classify each key once, on the
+    # plane Z*w0 + Z*u the key is read off, with v = (alpha, g) in it from
     # v . U = (alpha, beta) for U the unimodular completion of w; and each
     # orbit of v under {+-1, +-D} has one row, D the derived dual, so only
     # its representative is classified (README, "The atlas sweep").
     data = surface_invariants(t)
     ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
-    sweeps = [  # w, its text, whether D keeps it, w0, the columns of U, w's planes
-        (w, w.text(), w.a == w.b == 0 or w.r == w.s == 0, w.primitive_part()[1].as_tuple(),
+    sweeps = [  # w's text, whether D keeps it, w0, the columns of U, w's planes
+        (w.text(), w.a == w.b == 0 or w.r == w.s == 0, w.primitive_part()[1].as_tuple(),
          *unimodular_completion(w.as_tuple()), {}) for w in generators
     ]
     tails: dict[tuple, tuple] = {}
@@ -298,7 +297,7 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                     else:
                         dr, da, db, ds = dual
                         orbit = (*pair, f"{dr},{da},{db},{ds}", f"{-dr},{-da},{-db},{-ds}")
-                    for w, wt, w_kept, w0, U0, U1, U2, U3, planes in sweeps:
+                    for wt, w_kept, w0, U0, U1, U2, U3, planes in sweeps:
                         names = orbit if w_kept else pair
                         if names is None:
                             continue
@@ -311,16 +310,18 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                         if (b1 or b2 or b3) < 0:
                             g = -g
                         alpha = r * U0[0] + a * U0[1] + b * U0[2] + s * U0[3]
-                        plane = planes.get(pk := (b1 // g, b2 // g, b3 // g), False)
-                        if plane is False:  # a plane not seen before
+                        plane = planes.get(pk := (b1 // g, b2 // g, b3 // g))
+                        if plane is None:  # a plane not seen before
                             u = tuple((x - alpha * y) // g for x, y in zip((r, a, b, s), w0))
-                            plane = planes[pk] = wall_plane(t, w0, u)
-                        if plane is None:
+                            plane = planes[pk] = (u, *wall_plane(t, w0, u))
+                        u, gram, rays = plane
+                        if rays is None:  # not hyperbolic
                             continue
-                        key = wall_key(plane[0], (alpha, g), lv, plane[1])
+                        key = wall_key(gram, (alpha, g), lv, rays)
                         tail = tails.get(key)
                         if tail is None:
-                            c = classify_wall(saturate_lattice(t, MukaiVector(r, a, b, s), w))
+                            v = MukaiVector(r, a, b, s)
+                            c = classify_wall(HyperbolicPair(t, v, (w0, u), gram, rays, (alpha, g)))
                             tail = tails[key] = (
                                 "true" if c.totally_semistable else "false",
                                 ";".join(sorted(c.labels)),
@@ -334,7 +335,6 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
 def _cmd_atlas(args) -> int:
     # the sweep skips rows that are not walls, so a bad flag must fail here
     t = args.type
-    surface_invariants(t)
     bounds = [int(x) for x in args.bounds.split(",")]
     if len(bounds) != 4 or any(b < 0 for b in bounds):
         raise PreconditionError(f"--bounds wants R,A,B,S nonnegative, got {args.bounds}")
@@ -462,6 +462,8 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if getattr(args, "type", None) is not None:  # first, before any cap or vector
+            surface_invariants(args.type)
         return args.func(args)
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)

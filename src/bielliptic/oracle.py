@@ -128,8 +128,7 @@ def min_codim_oracle(H, max_parts: int = 4) -> int | None:
     scratch.  Returns None when no decomposition exists.
     """
     t = H.surface
-    e1 = H.basis[0].as_tuple()
-    e2 = H.basis[1].as_tuple()
+    e1, e2 = H.basis
     v = H.v.as_tuple()
     g11, g12 = _pair4(e1, e1), _pair4(e1, e2)
     g22 = _pair4(e2, e2)

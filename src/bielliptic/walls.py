@@ -43,23 +43,24 @@ _CONTRACTION_LABELS = frozenset(
 
 @dataclass(frozen=True)
 class HyperbolicPair:
-    """Saturated rank-2 sublattice of signature (1,-1) containing v."""
+    """Saturated rank-2 sublattice of signature (1,-1) containing v: a basis
+    of (r, a, b, s) int tuples, wall_plane's (gram, rays) of it, and v's
+    coordinates, v = vxy[0] * basis[0] + vxy[1] * basis[1]."""
 
     surface: int
     v: MukaiVector
-    basis: tuple[MukaiVector, MukaiVector]
+    basis: tuple[tuple[int, ...], tuple[int, ...]]
     gram: tuple[tuple[int, int], tuple[int, int]]
-    vxy: tuple[int, int]  # v = vxy[0] * basis[0] + vxy[1] * basis[1]
+    rays: tuple[tuple[int, int, int], ...]
+    vxy: tuple[int, int]
 
     def det(self) -> int:
         (g11, g12), (_, g22) = self.gram
         return g11 * g22 - g12 * g12
 
     def from_coords(self, x: int, y: int) -> MukaiVector:
-        e1, e2 = self.basis
-        return MukaiVector(
-            x * e1.r + y * e2.r, x * e1.a + y * e2.a, x * e1.b + y * e2.b, x * e1.s + y * e2.s
-        )
+        (r1, a1, b1, s1), (r2, a2, b2, s2) = self.basis
+        return MukaiVector(x * r1 + y * r2, x * a1 + y * a2, x * b1 + y * b2, x * s1 + y * s2)
 
     def q(self, xy: tuple[int, int]) -> int:
         (g11, g12), (_, g22) = self.gram
@@ -73,52 +74,59 @@ class HyperbolicPair:
         return g11 * x * u + g12 * (x * w + y * u) + g22 * y * w
 
 
+def wall_plane(t: int, e1: tuple, e2: tuple):
+    """(gram, rays) of a basis (e1, e2) of a saturated rank-2 lattice, on
+    plain ints: rays lists (x, y, l(x*e1 + y*e2)) for each primitive
+    isotropic direction (x, y), of either sign; it is empty when -det(gram)
+    is not a perfect square (irrational directions) and None unless the
+    lattice is hyperbolic (det(gram) < 0)."""
+    (r1, a1, b1, s1), (r2, a2, b2, s2) = e1, e2
+    g11, g22 = 2 * (a1 * b1 - r1 * s1), 2 * (a2 * b2 - r2 * s2)
+    g12 = a1 * b2 + a2 * b1 - r1 * s2 - r2 * s1
+    gram = ((g11, g12), (g12, g22))
+    disc = g12 * g12 - g11 * g22
+    if disc <= 0:
+        return gram, None
+    k = isqrt(disc)
+    if k * k != disc:
+        return gram, ()
+    data = surface_invariants(t)
+    ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
+    rays = []
+    for x, y in [(1, 0), (-g22, 2 * g12)] if g11 == 0 else [(k - g12, g11), (-k - g12, g11)]:
+        x, y = x // (d := gcd(x, y)), y // d
+        l = gcd(x * r1 + y * r2, x * a1 + y * a2, mb * (x * b1 + y * b2), ordk * (x * s1 + y * s2))
+        rays.append((x, y, l))
+    return gram, tuple(rays)
+
+
 def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
-    """Saturation of span{v, w} with its Gram matrix; must be hyperbolic."""
+    """Saturation of span{v, w} with its wall_plane data; must be hyperbolic."""
     surface_invariants(t)
     rows = saturation_basis([list(v.as_tuple()), list(w.as_tuple())])
     if len(rows) < 2:
         raise PreconditionError(f"{v.text()} and {w.text()} are collinear")
     if square(v) <= 0:
         raise PreconditionError(f"need v^2 > 0, got v^2 = {square(v)}")
-    e1, e2 = (MukaiVector.of(*row) for row in rows)
-    gram = (
-        (square(e1), mukai_pairing(e1, e2)),
-        (mukai_pairing(e1, e2), square(e2)),
-    )
+    basis = (tuple(rows[0]), tuple(rows[1]))
     # saturation_basis starts with v / content(v)
-    pair = HyperbolicPair(surface=t, v=v, basis=(e1, e2), gram=gram, vxy=(v.content(), 0))
-    if pair.det() >= 0:
+    pair = HyperbolicPair(t, v, basis, *wall_plane(t, *basis), (v.content(), 0))
+    if pair.rays is None:
         raise NotHyperbolicError(
             f"span of {v.text()}, {w.text()} has Gram determinant {pair.det()} >= 0"
         )
     return pair
 
 
-def isotropic_rays(H: HyperbolicPair) -> list[MukaiVector]:
-    """The 0 or 2 primitive isotropic classes u with <v, u> > 0.
-
-    Empty exactly when the binary form has irrational isotropic directions,
-    i.e. -det(gram) is not a perfect square.
-    """
-    out, vxy = [], H.vxy
-    for x, y in isotropic_directions(H.gram):
-        out.append(H.from_coords(x, y) if H.pair(vxy, (x, y)) > 0 else H.from_coords(-x, -y))
-    return sorted(out, key=MukaiVector.as_tuple)
-
-
-def isotropic_directions(gram) -> list[tuple[int, int]]:
-    """The primitive isotropic directions (0 or 2, either sign) of a form."""
-    (g11, g12), (_, g22) = gram
-    disc = g12 * g12 - g11 * g22
-    k = isqrt(disc)
-    if k * k != disc:
-        return []
-    if g11 == 0:
-        dirs = [(1, 0), (-g22, 2 * g12)]
-    else:
-        dirs = [(-g12 + k, g11), (-g12 - k, g11)]
-    return [(x // gcd(x, y), y // gcd(x, y)) for x, y in dirs]
+def isotropic_rays(H: HyperbolicPair) -> list[tuple[MukaiVector, int, int]]:
+    """(u, <v, u>, l(u)) for the 0 or 2 primitive isotropic classes u with
+    <v, u> > 0: H.rays oriented towards v, sorted by u."""
+    out = []
+    for x, y, l in H.rays:
+        q = H.pair(H.vxy, (x, y))
+        out.append((H.from_coords(x, y), q, l) if q > 0 else (H.from_coords(-x, -y), -q, l))
+    out.sort(key=lambda ray: ray[0].as_tuple())
+    return out
 
 
 def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
@@ -266,7 +274,7 @@ def _decomposition_search(
     data = surface_invariants(H.surface)
     ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
     (g11, g12), (_, g22) = H.gram
-    (r1, a1, b1, s1), (r2, a2, b2, s2) = (e.as_tuple() for e in H.basis)
+    (r1, a1, b1, s1), (r2, a2, b2, s2) = H.basis
     vr, va, vb, vs = H.v.as_tuple()
     vx, vy = H.vxy
     cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy  # <v, (x, y)> = cA*x + cB*y
@@ -333,8 +341,7 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
     if v2 <= 0:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
     lv = l_invariant_any(t, v)
-    rays = isotropic_rays(H)
-    info = [(u, mukai_pairing(v, u), l_invariant_any(t, u)) for u in rays]
+    info = isotropic_rays(H)  # (u, <v, u>, l(u))
 
     tss1 = tuple(u for u, q, l in info if q == 1 and l == ordk)
     tss2 = tuple(
@@ -392,17 +399,6 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         witnesses=witnesses,
         codim_bound=codim,
     )
-
-
-def wall_plane(t: int, e1: tuple, e2: tuple):
-    """(gram, [(x, y, l(x*e1 + y*e2)) per isotropic direction]) of a basis
-    of a saturated rank-2 lattice; None unless it is hyperbolic."""
-    e = (MukaiVector(*e1), MukaiVector(*e2))
-    gram = tuple(tuple(mukai_pairing(p, q) for q in e) for p in e)
-    if gram[0][0] * gram[1][1] >= gram[0][1] ** 2:
-        return None
-    dirs = isotropic_directions(gram)
-    return gram, [(x, y, l_invariant_any(t, x * e[0] + y * e[1])) for x, y in dirs]
 
 
 def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:

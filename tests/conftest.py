@@ -35,12 +35,7 @@ def primitive_vectors(draw, rmin=1, rmax=30, cmax=30):
 
 def basis_key(H):
     """walls.wall_key of the wall lattice H, read off its basis."""
-    t = H.surface
-    rays = [
-        (x, y, l_invariant_any(t, H.from_coords(x, y)))
-        for x, y in walls.isotropic_directions(H.gram)
-    ]
-    return walls.wall_key(H.gram, H.vxy, l_invariant_any(t, H.v), rays)
+    return walls.wall_key(H.gram, H.vxy, l_invariant_any(H.surface, H.v), H.rays)
 
 
 def saturation_key(t, v, w):

@@ -217,6 +217,26 @@ class TestWall:
 @pytest.mark.parametrize(
     "argv",
     [
+        ["reduce", "--type", "9", "--vector", "2000000,1,0,0"],
+        ["wall", "classify", "--type", "9", "--v", "1,3000,3001,5", "--w", "0,1,1,0"],
+        ["wall", "slice", "--type", "0", "--v", "1,0,0,-1", "--w", "0,0,0,-1", "--H0", "1,1",
+         "--emit-samples", "20000"],
+        ["pair", "--type", "8", "--v", "1,2,3", "--w", "0,0,0,1"],
+    ],
+    ids=["reduce", "classify", "slice", "malformed-vector"],
+)
+def test_bad_type_is_named_before_a_cap(capsys, argv):
+    # the call breaks a cap or has a malformed vector too, but the type is
+    # checked first, before any other flag value is read
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    t = argv[argv.index("--type") + 1]
+    assert err == f"precondition violated: surface type must be in 1..7, got {t}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["pair", "--type", "1", "--v", "-1,0,0,2", "--w", "-2,1,0,3", "--json"],
         ["wall", "classify", "--type", "1", "--v", "-1,0,0,2", "--w", "-1,0,0,0", "--json"],
         ["reduce", "--type", "1", "--vector", "-3,1,1,0"],  # rank < 1: exit 3
@@ -407,7 +427,7 @@ class TestAtlas:
         ],
     )
     def test_rows_match_one_wall_at_a_time(self, capsys, t, bounds, least, shared):
-        # The sweep saturates each plane once.  A non-primitive generator
+        # The sweep builds each plane once.  A non-primitive generator
         # (0,0,0,2 beside 0,0,0,1), a non-isotropic one (1,1,1,0) and a
         # repeated one put many rows on a plane seen before; each row must
         # still equal the wall classified on its own.  The sweep classifies

@@ -135,13 +135,14 @@ def test_atlas_classifies_each_key_once(types, bounds, generators, keys):
     finally:
         installed.remove()
     # every member of a class has the representative's row, so each key is
-    # saturated and classified once and each row written once per member
+    # classified once, on the plane the sweep built for it, with no
+    # saturation, and each row is written once per member
     classified = sum(
         st[0] for name, st in tracer.stats.items() if name.startswith("walls.classify_wall.")
     )
-    assert tracer.stats["walls.saturate_lattice"][0] == expected
-    assert tracer.stats["linalg.saturation_basis"][0] == expected
-    assert classified == expected
+    assert tracer.stats.get("walls.saturate_lattice", [0])[0] == 0
+    assert tracer.stats.get("linalg.saturation_basis", [0])[0] == 0
+    assert classified == expected == keys
     assert out.getvalue().count("\n") - len(types) == rows
 
 

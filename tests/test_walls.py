@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import (
+    DivisorClass,
     MukaiVector,
     l_invariant,
     l_invariant_any,
@@ -18,6 +19,17 @@ from bielliptic.lattice import (
 )
 from bielliptic.linalg import ext_gcd, unimodular_completion
 from bielliptic.surfaces import surface_invariants
+from bielliptic.transforms import (
+    ORD3_B_MOVE,
+    PHI,
+    PHI_INV,
+    PSI,
+    PSI_DUAL_MOVE,
+    PSI_INV,
+    TYPE6_A_MOVE,
+    TwistBy,
+    apply_transform,
+)
 from bielliptic.walls import (
     FAKE_WALL,
     FLOPPING,
@@ -34,7 +46,6 @@ from bielliptic.walls import (
     hn_codim_bound,
     isotropic_rays,
     saturate_lattice,
-    wall_key,
     wall_plane,
 )
 
@@ -79,17 +90,15 @@ def build_instance(raw):
         return None
 
 
-def minor_gcd(e1, e2):
-    """gcd of the six 2x2 minors of (e1, e2); 1 iff they span a saturated plane."""
-    a, b = e1.as_tuple(), e2.as_tuple()
+def minor_gcd(a, b):
+    """gcd of the six 2x2 minors of (a, b); 1 iff they span a saturated plane."""
     return gcd(*(a[i] * b[j] - a[j] * b[i] for i in range(4) for j in range(i + 1, 4)))
 
 
 def reference_coords(H, p):
     """Coordinates of p by a search over the six 2x2 minors of the basis:
     the first nonzero one solves for (x, y), then the solution is checked."""
-    e1, e2 = H.basis
-    a, b = e1.as_tuple(), e2.as_tuple()
+    a, b = H.basis
     pt = p.as_tuple()
     for i in range(4):
         for j in range(i + 1, 4):
@@ -101,7 +110,7 @@ def reference_coords(H, p):
             if xn % det or yn % det:
                 return None
             x, y = xn // det, yn // det
-            if (x * e1 + y * e2) == p:
+            if H.from_coords(x, y) == p:
                 return (x, y)
             return None
     return None
@@ -111,7 +120,7 @@ def assert_saturates(H, w, spanning=None):
     """H's basis spans the saturation of span{v, w} and starts at
     v / content(v); it spans the lattice of the rows ``spanning`` if given."""
     e1, e2 = H.basis
-    assert plane_key(e1, e2) == plane_key(H.v, w)
+    assert plane_key(MukaiVector(*e1), MukaiVector(*e2)) == plane_key(H.v, w)
     assert minor_gcd(e1, e2) == 1
     assert H.vxy == (H.v.content(), 0)
     assert H.from_coords(*H.vxy) == H.v
@@ -151,11 +160,10 @@ class TestSaturation:
 
     def test_cached_coordinates_with_plain_constructor(self):
         H = H_of(1, (1, 0, 0, -1), (0, 0, 0, 1))
-        assert type(H)(surface=1, v=H.v, basis=H.basis, gram=H.gram, vxy=H.vxy) == H
+        fields = dict(surface=1, basis=H.basis, gram=H.gram, rays=H.rays)
+        assert type(H)(v=H.v, vxy=H.vxy, **fields) == H
         # v' = e1 + e2 in the same basis; the coordinates are part of the value
-        other = type(H)(
-            surface=1, v=MukaiVector.of(1, 0, 0, 0), basis=H.basis, gram=H.gram, vxy=(1, 1)
-        )
+        other = type(H)(v=MukaiVector.of(1, 0, 0, 0), vxy=(1, 1), **fields)
         assert other.from_coords(*other.vxy) == other.v
         assert other != H
 
@@ -195,17 +203,18 @@ class TestSaturation:
 
 def change_basis(H, m):
     """H with the basis (e1, e2) replaced by m (e1, e2), where m is a 2x2
-    integer matrix of determinant +-1 given by rows; gram and vxy move along."""
+    integer matrix of determinant +-1 given by rows; gram, rays and vxy move
+    along."""
     (a, b), (c, d) = m
     det = a * d - b * c
     assert det in (1, -1)
     x, y = H.vxy
-    f1, f2 = H.from_coords(a, b), H.from_coords(c, d)
-    gram = tuple(tuple(H.pair(p, q) for q in m) for p in m)
-    assert gram == tuple(tuple(mukai_pairing(p, q) for q in (f1, f2)) for p in (f1, f2))
+    basis = (H.from_coords(a, b).as_tuple(), H.from_coords(c, d).as_tuple())
+    gram, rays = wall_plane(H.surface, *basis)
+    assert gram == tuple(tuple(H.pair(p, q) for q in m) for p in m)
     # (x, y) = (x', y') m, so (x', y') = (x, y) m^-1
     vxy = ((x * d - y * c) * det, (y * a - x * b) * det)
-    return HyperbolicPair(surface=H.surface, v=H.v, basis=(f1, f2), gram=gram, vxy=vxy)
+    return HyperbolicPair(H.surface, H.v, basis, gram, rays, vxy)
 
 
 @st.composite
@@ -241,7 +250,7 @@ class TestBasisChange:
 class TestIsotropicRays:
     def test_standard_pair(self):
         rays = isotropic_rays(H_of(1, (1, 0, 0, -2), (0, 0, 0, 1)))
-        assert {u.as_tuple() for u in rays} == {(1, 0, 0, 0), (0, 0, 0, -1)}
+        assert rays == [(MukaiVector(0, 0, 0, -1), 1, 2), (MukaiVector(1, 0, 0, 0), 2, 1)]
 
     def test_irrational_directions(self):
         # gram determinant -20; -det is not a square, so no rational rays
@@ -255,11 +264,13 @@ class TestIsotropicRays:
         assume(inst is not None)
         t, H = inst
         rays = isotropic_rays(H)
-        assert len(rays) in (0, 2)
-        for u in rays:
+        assert len(rays) == len(H.rays) in (0, 2)
+        assert [u.as_tuple() for u, _, _ in rays] == sorted(u.as_tuple() for u, _, _ in rays)
+        for u, q, l in rays:
             assert square(u) == 0
             assert u.is_primitive()
-            assert mukai_pairing(H.v, u) > 0
+            assert q == mukai_pairing(H.v, u) > 0
+            assert l == l_invariant(t, u)
 
     @given(raw_instances)
     def test_positive_classes_lie_in_the_ray_cone(self, raw):
@@ -269,8 +280,8 @@ class TestIsotropicRays:
         rays = isotropic_rays(H)
         if len(rays) != 2:
             return
-        c1 = reference_coords(H, rays[0])
-        c2 = reference_coords(H, rays[1])
+        c1 = reference_coords(H, rays[0][0])
+        c2 = reference_coords(H, rays[1][0])
         det = c1[0] * c2[1] - c1[1] * c2[0]
         for parts in enumerate_decompositions(H, 2)[:6]:
             for p in parts:
@@ -522,9 +533,7 @@ class TestClassification:
 
     def test_rejects_nonpositive_square(self):
         H = H_of(1, (1, 0, 0, -1), (0, 0, 0, 1))
-        bad = type(H)(
-            surface=H.surface, v=MukaiVector.of(1, 0, 0, 0), basis=H.basis, gram=H.gram, vxy=(1, 1)
-        )
+        bad = type(H)(H.surface, MukaiVector.of(1, 0, 0, 0), H.basis, H.gram, H.rays, (1, 1))
         with pytest.raises(PreconditionError):
             classify_wall(bad)
 
@@ -614,7 +623,9 @@ class TestShiftSymmetry:
             _, Hg = build_instance((t, g(vt), g(wt)))
             if name == "-1":
                 # the same plane and lattice; D moves it
-                assert plane_key(*Hg.basis) == plane_key(*H.basis)
+                assert plane_key(*(MukaiVector(*e) for e in Hg.basis)) == plane_key(
+                    *(MukaiVector(*e) for e in H.basis)
+                )
                 assert Hg.det() == H.det()
             cg = classify_wall(Hg)
             assert (cg.totally_semistable, cg.labels, cg.codim_bound) == (
@@ -639,21 +650,38 @@ class TestShiftSymmetry:
                     ), name
 
 
-def sweep_key(t, v, w):
-    """wall_key of (v, w) from the plane data of the atlas sweep, or None if
+def sweep_plane(t, v, w):
+    """The wall lattice of (v, w) as the atlas sweep builds it, or None if
     (v, w) is not a wall: v . U = (alpha, beta) for U the unimodular
-    completion of w, g = gcd(beta), and the plane has the basis w0 = w /
-    content(w), u = (v - alpha*w0) / g, in which v = (alpha, g)."""
+    completion of w, g = gcd(beta) with the sign of beta's first nonzero
+    entry, and the plane has the basis w0 = w / content(w),
+    u = (v - alpha*w0) / g, in which v = (alpha, g)."""
     vt, w0 = v.as_tuple(), w.primitive_part()[1].as_tuple()
     cols = unimodular_completion(w.as_tuple())
     alpha, *beta = (sum(x * y for x, y in zip(vt, col)) for col in cols)
     g = gcd(*beta)
     if g == 0:
         return None
-    plane = wall_plane(t, w0, tuple((x - alpha * y) // g for x, y in zip(vt, w0)))
-    if plane is None:
+    if next(b for b in beta if b) < 0:
+        g = -g
+    u = tuple((x - alpha * y) // g for x, y in zip(vt, w0))
+    gram, rays = wall_plane(t, w0, u)
+    if rays is None:
         return None
-    return wall_key(plane[0], (alpha, g), l_invariant_any(t, v), plane[1])
+    return HyperbolicPair(t, v, (w0, u), gram, rays, (alpha, g))
+
+
+def assert_plane_data(H):
+    """H's gram and rays, from wall_plane, agree with lattice.py on its
+    basis: each ray (x, y, l) gives a primitive isotropic class u with
+    l = l_invariant_any(u), and there are 2 exactly when -det is a square."""
+    e = [MukaiVector(*b) for b in H.basis]
+    assert H.gram == tuple(tuple(mukai_pairing(p, q) for q in e) for p in e)
+    assert len(H.rays) == (2 if isqrt(-H.det()) ** 2 == -H.det() else 0)
+    for x, y, l in H.rays:
+        u = H.from_coords(x, y)
+        assert square(u) == 0 and u.is_primitive()
+        assert l == l_invariant_any(H.surface, u)
 
 
 class TestWallKey:
@@ -664,13 +692,24 @@ class TestWallKey:
     @example((1, (3, 0, 0, -1), (0, 0, 0, 1)), 3)
     @settings(max_examples=300, deadline=None)
     def test_sweep_plane_gives_the_saturation_key(self, raw, c):
-        # the key is read off any basis of the saturated plane: the sweep's
-        # (w0, u) and the basis of saturate_lattice give one key, also for
-        # generators with content c > 1; the two constructions share no code
+        # the key and the classification, witnesses included, are read off
+        # any basis of the saturated plane: the sweep's (w0, u) and the basis
+        # of saturate_lattice give one key and one classification, also for
+        # generators with content c > 1.  Both bases pass through
+        # walls.wall_plane, so its Gram matrix, rays and l(u) are checked
+        # against lattice.py on each
         t, vt, wt = raw
         v, w = MukaiVector(*vt), c * MukaiVector(*wt)
         assume(square(v) > 0 and w.content())
-        assert sweep_key(t, v, w) == saturation_key(t, v, w)
+        H, key = sweep_plane(t, v, w), saturation_key(t, v, w)
+        if H is None:
+            assert key is None
+            return
+        assert basis_key(H) == key
+        Hs = saturate_lattice(t, v, w)
+        assert classify_wall(H) == classify_wall(Hs)
+        assert_plane_data(H)
+        assert_plane_data(Hs)
 
     def test_mod_3_bit_separates_two_walls(self):
         # v^2 = 6 on ord_k = 2: both walls have a ray u with <v, u> = 3 and
@@ -685,9 +724,80 @@ class TestWallKey:
         }
         for w, label in labels.items():
             H = saturate_lattice(1, v, MukaiVector.parse(w))
-            assert (3, 2) in [(mukai_pairing(v, u), l_invariant(1, u)) for u in isotropic_rays(H)]
+            rays = [(mukai_pairing(v, u), l_invariant(1, u)) for u, _, _ in isotropic_rays(H)]
+            assert (3, 2) in rays
             assert classify_wall(H).labels == frozenset({label})
             assert saturation_key(1, v, MukaiVector.parse(w)) == keys[w]
+
+
+def type_steps(t):
+    """Phi, Psi, their inverses and the composite moves valid on type t."""
+    data = surface_invariants(t)
+    steps = [PHI, PHI_INV, PSI, PSI_INV]
+    if data.lam == 3:
+        steps.append(TYPE6_A_MOVE)
+    if data.ord_k == 3:
+        steps.append(ORD3_B_MOVE)
+    if data.ord_k in (4, 6):
+        steps.append(PSI_DUAL_MOVE)
+    return steps
+
+
+@st.composite
+def walls_and_words(draw):
+    """(t, H, word): a wall with v^2 <= 200 and 1 to 6 steps valid on t."""
+    t, H = draw(walls_up_to(200))
+    twists = st.builds(
+        lambda x, y: TwistBy(DivisorClass(x, y)), st.integers(-3, 3), st.integers(-3, 3)
+    )
+    steps = st.one_of(twists, st.sampled_from(type_steps(t)))
+    return t, H, draw(st.lists(steps, min_size=1, max_size=6))
+
+
+class TestStepInvariance:
+    """Every step of transforms.py acts on Z^4 as an integer isometry of
+    determinant +-1 that keeps l(p) = gcd(r, a, (ord K / lambda) b, ord K s),
+    so a word g in the steps carries the wall (v, w) onto (gv, gw) with the
+    same wall_key and row.  This checks the premise of the atlas memo
+    without the oracle, at sizes the oracle cannot reach; it is a
+    consistency check, not a truth check."""
+
+    @given(walls_and_words())
+    # Ord2Exceptional (the mod-3 bit), LGU, Ord3Exceptional, HilbertChow on
+    # lambda = 3, LGUOrd2 (l(v) = 1): one composite move per kind of type
+    @example((1, H_of(1, (3, 0, 0, -1), (0, 0, 0, 1)), [TwistBy(DivisorClass(1, 0)), PSI]))
+    @example((3, H_of(3, (2, 0, 0, -1), (0, 0, 0, 1)), [PSI_DUAL_MOVE, PHI_INV]))
+    @example((5, H_of(5, (3, 0, 1, -1), (0, 0, 0, 1)), [ORD3_B_MOVE, PHI]))
+    @example((6, H_of(6, (1, 0, 0, -2), (0, 0, 0, 1)), [TYPE6_A_MOVE, PSI_INV]))
+    @example((2, H_of(2, (2, 1, 2, 0), (0, 0, 0, 1)), [TwistBy(DivisorClass(-1, 2))]))
+    @settings(max_examples=200, deadline=None)
+    def test_words_keep_the_key_and_the_row(self, inst):
+        t, H, word = inst
+
+        def g(p):
+            for step in word:
+                p = apply_transform(t, step, p)
+            return p
+
+        v, w = H.v, H.from_coords(0, 1)  # H is the saturation of span{v, w}
+        gv = g(v)
+        assert saturation_key(t, gv, g(w)) == saturation_key(t, v, w)
+        c, cg = classify_wall(H), classify_wall(saturate_lattice(t, gv, g(w)))
+        assert (cg.totally_semistable, cg.labels, cg.codim_bound) == (
+            c.totally_semistable, c.labels, c.codim_bound
+        )
+        for label, found in c.witnesses.items():
+            if label in (FLOPPING, FAKE_WALL):
+                # picked in (r, a, b, s) order, so g of it need not be cg's
+                # witness; it is still a decomposition of gv
+                parts = [g(p) for p in found]
+                assert sum(parts, MukaiVector(0, 0, 0, 0)) == gv
+                assert all(square(p) >= 0 and mukai_pairing(gv, p) > 0 for p in parts)
+            else:
+                # ray labels: the rays of gv are gu
+                assert sorted(g(u).as_tuple() for u in found) == sorted(
+                    u.as_tuple() for u in cg.witnesses[label]
+                )
 
 
 _APPROXIMATION_SEEDS = [
