@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: info, pair, reduce, wall classify, wall slice, moduli report,
-oracle cases, atlas.  Every subcommand accepts --json and emits a stable
-schema ({"schema": 1, ...}); exit status 2 for flag errors, 3 for violated
-preconditions (named on stderr), 0 on success.
+oracle cases, atlas.  Every subcommand but atlas, which writes CSV, accepts
+--json and emits a stable schema ({"schema": 1, ...}); exit status 2 for flag
+errors, 3 for violated preconditions (named on stderr), 0 on success.
 """
 
 import argparse
@@ -11,7 +11,6 @@ import csv
 import functools
 import json
 import sys
-from fractions import Fraction
 from math import gcd, prod
 
 from bielliptic.errors import PreconditionError
@@ -28,14 +27,11 @@ SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
 MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
+MAX_ATLAS_SQUARE = 256  # largest v^2 in that box; a wall's search is linear in v^2
+MAX_ATLAS_GENERATORS = 8  # `atlas --w` flags; each one is a sweep of the box
 MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
 MAX_WALL_SQUARE = 300_000  # v^2 of `wall classify --v`; the search is linear in it
 MAX_REDUCE_RANK = 1_000_000  # rank of `reduce --vector`; a reduction takes about r steps
-
-
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def _nonnegative_int(text: str) -> int:
@@ -52,15 +48,7 @@ def _parse_divisor(text: str) -> DivisorClass:
     return DivisorClass(int(parts[0]), int(parts[1]))
 
 
-def _emit(payload: dict, as_json: bool, lines: list[str]):
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> tuple[dict, list[str]]:
     d = surface_invariants(args.type)
     row = {
         "type": args.type,
@@ -69,17 +57,14 @@ def _cmd_info(args) -> int:
         "g_order": d.g_order,
         "multiplicities": list(d.multiplicities),
     }
-    if args.json:
-        row["schema"] = SCHEMA
-    print(json.dumps(row, sort_keys=True))
-    return 0
+    # the text line is JSON too, without the schema
+    return row, [json.dumps(row, sort_keys=True)]
 
 
-def _cmd_pair(args) -> int:
+def _cmd_pair(args) -> tuple[dict, list[str]]:
     v = MukaiVector.parse(args.v)
     w = MukaiVector.parse(args.w)
     payload = {
-        "schema": SCHEMA,
         "type": args.type,
         "v": v.text(),
         "w": w.text(),
@@ -91,18 +76,13 @@ def _cmd_pair(args) -> int:
         payload["l_v"] = l_invariant(args.type, v)
     if w.is_primitive():
         payload["l_w"] = l_invariant(args.type, w)
-    _emit(
-        payload,
-        args.json,
-        [
-            f"<v, w> = {payload['pairing']}",
-            f"v^2 = {payload['v_square']}, w^2 = {payload['w_square']}",
-        ],
-    )
-    return 0
+    return payload, [
+        f"<v, w> = {payload['pairing']}",
+        f"v^2 = {payload['v_square']}, w^2 = {payload['w_square']}",
+    ]
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple[dict, list[str]]:
     v = MukaiVector.parse(args.vector)
     if v.r > MAX_REDUCE_RANK:
         raise PreconditionError(
@@ -110,7 +90,6 @@ def _cmd_reduce(args) -> int:
         )
     v0, log = reduce_to_table(args.type, v)
     payload = {
-        "schema": SCHEMA,
         "type": args.type,
         "input": v.text(),
         "reduced": v0.text(),
@@ -118,20 +97,19 @@ def _cmd_reduce(args) -> int:
         "square": square(v0),
         "in_table": matches_reduced_form(args.type, v0),
     }
-    _emit(
-        payload,
-        args.json,
-        [f"{v.text()} -> {v0.text()}  (square {payload['square']}, {len(log)} steps)"],
-    )
-    return 0
+    return payload, [f"{v.text()} -> {v0.text()}  (square {payload['square']}, {len(log)} steps)"]
 
 
-def _classification_payload(t: int, v: MukaiVector, w: MukaiVector, max_parts: int) -> dict:
-    H = saturate_lattice(t, v, w)
-    c = classify_wall(H, max_parts=max_parts)
-    return {
-        "schema": SCHEMA,
-        "type": t,
+def _cmd_wall_classify(args) -> tuple[dict, list[str]]:
+    v = MukaiVector.parse(args.v)
+    w = MukaiVector.parse(args.w)
+    if square(v) > MAX_WALL_SQUARE:
+        raise PreconditionError(
+            f"--v {v.text()} has v^2 = {square(v)}, over the cap of {MAX_WALL_SQUARE}"
+        )
+    c = classify_wall(saturate_lattice(args.type, v, w), max_parts=args.max_parts)
+    payload = {
+        "type": args.type,
         "v": v.text(),
         "w": w.text(),
         "totally_semistable": c.totally_semistable,
@@ -142,31 +120,15 @@ def _classification_payload(t: int, v: MukaiVector, w: MukaiVector, max_parts: i
         },
         "codim_bound": c.codim_bound,
     }
+    return payload, [
+        f"labels: {', '.join(payload['labels'])}",
+        f"totally semistable: {c.totally_semistable}"
+        + (f" (witness {payload['witness']})" if payload["witness"] else ""),
+        f"codim bound: {'+inf' if c.codim_bound is None else c.codim_bound}",
+    ]
 
 
-def _cmd_wall_classify(args) -> int:
-    v = MukaiVector.parse(args.v)
-    w = MukaiVector.parse(args.w)
-    if square(v) > MAX_WALL_SQUARE:
-        raise PreconditionError(
-            f"--v {v.text()} has v^2 = {square(v)}, over the cap of {MAX_WALL_SQUARE}"
-        )
-    payload = _classification_payload(args.type, v, w, args.max_parts)
-    codim = payload["codim_bound"]
-    _emit(
-        payload,
-        args.json,
-        [
-            f"labels: {', '.join(payload['labels'])}",
-            f"totally semistable: {payload['totally_semistable']}"
-            + (f" (witness {payload['witness']})" if payload["witness"] else ""),
-            f"codim bound: {'+inf' if codim is None else codim}",
-        ],
-    )
-    return 0
-
-
-def _cmd_wall_slice(args) -> int:
+def _cmd_wall_slice(args) -> tuple[dict, list[str]]:
     if args.emit_samples > MAX_EMIT_SAMPLES:
         raise PreconditionError(
             f"--emit-samples {args.emit_samples} exceeds the cap of {MAX_EMIT_SAMPLES}"
@@ -187,7 +149,6 @@ def _cmd_wall_slice(args) -> int:
             f"locus: {locus.alpha}(x^2+y^2) + {locus.beta}x + {locus.gamma} = 0"
         )
     payload = {
-        "schema": SCHEMA,
         "type": args.type,
         "v": v.text(),
         "w": w.text(),
@@ -197,18 +158,16 @@ def _cmd_wall_slice(args) -> int:
     lines = [text]
     if args.emit_samples:
         samples = locus_samples(locus, args.emit_samples)
-        payload["samples"] = [[_frac_str(x), _frac_str(y)] for x, y in samples]
-        lines += [f"sample: x={_frac_str(x)} y={_frac_str(y)}" for x, y in samples]
-    _emit(payload, args.json, lines)
-    return 0
+        payload["samples"] = [[str(x), str(y)] for x, y in samples]  # Fractions: "p/q" or "p"
+        lines += [f"sample: x={x} y={y}" for x, y in samples]
+    return payload, lines
 
 
-def _cmd_moduli_report(args) -> int:
+def _cmd_moduli_report(args) -> tuple[dict, list[str]]:
     v = MukaiVector.parse(args.vector)
     t = args.type
     rep = gieseker_report(t, v)
     payload = {
-        "schema": SCHEMA,
         "type": t,
         "vector": v.text(),
         "muss_nonempty": rep.muss_nonempty,
@@ -227,26 +186,24 @@ def _cmd_moduli_report(args) -> int:
     if v.is_primitive() and square(v) >= 0:
         sing = singularity_report(t, v, generic_surface=args.generic_surface)
         payload["singularities"] = {
-            "sing_dim_bound": _frac_str(sing.sing_dim_bound),
+            "sing_dim_bound": str(sing.sing_dim_bound),
             "cases": [
                 {"condition": c.condition, "class": c.klass.value} for c in sing.cases
             ],
         }
         lines += [
-            f"singular locus dimension bound: {_frac_str(sing.sing_dim_bound)}"
+            f"singular locus dimension bound: {sing.sing_dim_bound}"
         ] + [f"  [{c.klass.value}] {c.condition}" for c in sing.cases]
-    _emit(payload, args.json, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_oracle_cases(args) -> int:
+def _cmd_oracle_cases(args) -> tuple[dict, list[str]]:
     if args.bound > MAX_ORACLE_BOUND:
         raise PreconditionError(
             f"--bound {args.bound} exceeds the cap of {MAX_ORACLE_BOUND}"
         )
     cases = enumerate_equality_cases(args.m, args.target, bound=args.bound)
     payload = {
-        "schema": SCHEMA,
         "m": args.m,
         "target": args.target,
         "bound": args.bound,
@@ -254,15 +211,10 @@ def _cmd_oracle_cases(args) -> int:
             {"l1": c.l1, "l2": c.l2, "q": c.q, "b1": c.b1, "b2": c.b2} for c in cases
         ],
     }
-    _emit(
-        payload,
-        args.json,
-        [
-            f"l1={c.l1} l2={c.l2} q={c.q} b1={c.b1} b2={c.b2}"
-            for c in cases
-        ],
-    )
-    return 0
+    return payload, [
+        f"l1={c.l1} l2={c.l2} q={c.q} b1={c.b1} b2={c.b2}"
+        for c in cases
+    ]
 
 
 def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[tuple]:
@@ -332,7 +284,7 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
     return rows
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args) -> None:
     # the sweep skips rows that are not walls, so a bad flag must fail here
     t = args.type
     bounds = [int(x) for x in args.bounds.split(",")]
@@ -342,6 +294,15 @@ def _cmd_atlas(args) -> int:
     if box > MAX_ATLAS_VECTORS:
         raise PreconditionError(
             f"--bounds {args.bounds} spans {box} vectors, over the cap of {MAX_ATLAS_VECTORS}"
+        )
+    v2 = 2 * (bounds[1] * bounds[2] + bounds[0] * bounds[3])  # the largest 2(ab - rs)
+    if v2 > MAX_ATLAS_SQUARE:
+        raise PreconditionError(
+            f"--bounds {args.bounds} reaches v^2 = {v2}, over the cap of {MAX_ATLAS_SQUARE}"
+        )
+    if len(args.w) > MAX_ATLAS_GENERATORS:
+        raise PreconditionError(
+            f"--w is given {len(args.w)} times, over the cap of {MAX_ATLAS_GENERATORS}"
         )
     generators = [MukaiVector.parse(w) for w in args.w]
     for w in generators:
@@ -361,7 +322,6 @@ def _cmd_atlas(args) -> int:
     finally:
         if args.out:
             out.close()
-    return 0
 
 
 @functools.cache
@@ -446,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_command(argv: list[str]) -> int:
-    """Parse and run; returns the exit status (2 flags, 3 preconditions)."""
+    """Parse, run and print; returns the exit status (2 flags, 3 preconditions)."""
     parser = build_parser()
     argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse reads -1,0,0,2 as an option
@@ -464,7 +424,16 @@ def run_command(argv: list[str]) -> int:
     try:
         if getattr(args, "type", None) is not None:  # first, before any cap or vector
             surface_invariants(args.type)
-        return args.func(args)
+        result = args.func(args)
+        if result is not None:  # atlas has written its CSV
+            payload, lines = result
+            if args.json:
+                payload["schema"] = SCHEMA
+                print(json.dumps(payload, sort_keys=True))
+            else:
+                for line in lines:
+                    print(line)
+        return 0
     except PreconditionError as e:
         print(f"precondition violated: {e}", file=sys.stderr)
         return 3

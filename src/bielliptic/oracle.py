@@ -12,6 +12,8 @@ from math import gcd, isqrt
 from bielliptic.errors import PreconditionError
 from bielliptic.surfaces import surface_invariants
 
+MAX_PARTS = 4  # most parts of a decomposition the search assembles (classify_wall's default)
+
 
 def _floor_lhs(m: int, l1: int, l2: int, q: int, b1: int, b2: int) -> int:
     return -((b1 * l1) // m) - ((b2 * l2) // m) + b1 * b2 * q
@@ -116,7 +118,7 @@ def _codim_of(t, parts):
     return total
 
 
-def min_codim_oracle(H, max_parts: int = 4) -> int | None:
+def min_codim_oracle(H) -> int | None:
     """Naive recomputation of the classifier's codimension bound.
 
     The positive-cone classes are enumerated per pairing value k: the line
@@ -191,7 +193,7 @@ def min_codim_oracle(H, max_parts: int = 4) -> int | None:
             c = _codim_of(t, parts)
             if best[0] is None or c < best[0]:
                 best[0] = c
-        if len(chosen) >= max_parts:
+        if len(chosen) >= MAX_PARTS:
             return
         for idx in range(start, len(candidates)):
             (x, y), k = candidates[idx]

@@ -318,11 +318,17 @@ def _decomposition_search(
 
 @dataclass(frozen=True)
 class WallClassification:
-    totally_semistable: bool
     tss_witness: MukaiVector | None
-    labels: frozenset[str]
-    witnesses: dict[str, tuple[MukaiVector, ...]]
+    witnesses: dict[str, tuple[MukaiVector, ...]]  # label -> its witnesses
     codim_bound: int | None  # None encodes +infinity (no decomposition)
+
+    @property
+    def totally_semistable(self) -> bool:
+        return self.tss_witness is not None
+
+    @property
+    def labels(self) -> frozenset[str]:
+        return frozenset(self.witnesses)
 
 
 def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
@@ -347,15 +353,12 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
     tss2 = tuple(
         u for u, q, l in info if v2 == 4 and q == 2 and l == ordk == 2 == lv
     )
-    totally = bool(tss1 or tss2)
-    tss_witness = (tss1 + tss2)[0] if totally else None
+    tss_witness = (tss1 + tss2)[0] if tss1 or tss2 else None
 
-    labels: set[str] = set()
     witnesses: dict[str, tuple[MukaiVector, ...]] = {}
 
     def add(label: str, found: tuple[MukaiVector, ...]):
         if found:
-            labels.add(label)
             witnesses[label] = found
 
     if v2 >= 4:
@@ -379,23 +382,18 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
 
     first, codim = _decomposition_search(H, max_parts)
     if v.is_primitive():
-        if v2 >= 4 and first and not (labels & _CONTRACTION_LABELS):
+        if v2 >= 4 and first and not (witnesses.keys() & _CONTRACTION_LABELS):
             add(FLOPPING, first)
-        if not labels:
+        if not witnesses:
             if first:
-                labels.add(FAKE_WALL)
                 witnesses[FAKE_WALL] = first
             else:
-                labels.add(NO_WALL)
                 witnesses[NO_WALL] = ()
-    elif not labels:
-        labels.add(INDETERMINATE)
+    elif not witnesses:
         witnesses[INDETERMINATE] = ()
 
     return WallClassification(
-        totally_semistable=totally,
         tss_witness=tss_witness,
-        labels=frozenset(labels),
         witnesses=witnesses,
         codim_bound=codim,
     )

@@ -20,6 +20,7 @@ from bielliptic.cli import run_command
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import MukaiVector, plane_key, square
 from bielliptic.transforms import TransformLog
+from bielliptic.walls import classify_wall, saturate_lattice
 
 from conftest import FIXTURES, primitive_vectors, saturation_key
 
@@ -331,6 +332,50 @@ class TestAtlas:
             run_command(["atlas", "--type", "1", "--bounds", "8,8,8,8", "--w", "0,0,0,1"])
 
     @pytest.mark.parametrize(
+        "bounds, v2", [("0,129,1,0", 258), ("0,4000,1,0", 8000), ("2,22,22,2", 976)]
+    )
+    def test_square_over_cap_exits_3(self, capsys, monkeypatch, bounds, v2):
+        # refused before the sweep starts: uncapped, a thin box costs about
+        # the square of its largest v^2 (0,4000,1,0 took 9 s), and 2,22,22,2
+        # (50,625 vectors) twice what 8,8,8,8 (83,521) costs
+        monkeypatch.setattr(cli, "_atlas_rows", _must_not_run)
+        code, out, err = run(capsys, "atlas", "--type", "1", "--bounds", bounds, "--w", "0,0,0,1")
+        assert (code, out) == (3, "")
+        assert err == (
+            f"precondition violated: --bounds {bounds} reaches v^2 = {v2}, "
+            f"over the cap of {cli.MAX_ATLAS_SQUARE}\n"
+        )
+
+    def test_generators_over_cap_exits_3(self, capsys, monkeypatch):
+        # each --w is one more sweep of the box
+        monkeypatch.setattr(cli, "_atlas_rows", _must_not_run)
+        n = cli.MAX_ATLAS_GENERATORS + 1
+        code, out, err = run(
+            capsys, "atlas", "--type", "1", "--bounds", "1,1,1,1", *["--w", "0,0,0,1"] * n
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"precondition violated: --w is given {n} times, "
+            f"over the cap of {cli.MAX_ATLAS_GENERATORS}\n"
+        )
+
+    @pytest.mark.parametrize("bounds", ["8,8,8,8", "0,128,1,0", "128,0,0,1"])
+    def test_square_and_generators_at_cap_are_swept(self, monkeypatch, bounds):
+        class Started(Exception):
+            pass
+
+        def started(t, bounds, generators):
+            R, A, B, S = bounds
+            assert 2 * (A * B + R * S) == cli.MAX_ATLAS_SQUARE
+            assert len(generators) == cli.MAX_ATLAS_GENERATORS
+            raise Started
+
+        monkeypatch.setattr(cli, "_atlas_rows", started)
+        generators = ["--w", "0,0,0,1"] * cli.MAX_ATLAS_GENERATORS
+        with pytest.raises(Started):
+            run_command(["atlas", "--type", "1", "--bounds", bounds, *generators])
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--type", "9"], "surface type must be in 1..7, got 9"),
@@ -459,17 +504,17 @@ class TestAtlas:
                             continue
                         for w in generators:
                             try:
-                                p = cli._classification_payload(t, v, MukaiVector.parse(w), 4)
+                                c = classify_wall(saturate_lattice(t, v, MukaiVector.parse(w)))
                             except PreconditionError:
                                 continue
                             key = saturation_key(t, v, MukaiVector.parse(w))
                             planes.setdefault(key, set()).add(plane_key(v, MukaiVector.parse(w)))
-                            codim = p["codim_bound"]
+                            codim = c.codim_bound
                             expected.append(
                                 [
-                                    str(t), p["v"], p["w"],
-                                    "true" if p["totally_semistable"] else "false",
-                                    ";".join(p["labels"]),
+                                    str(t), v.text(), w,
+                                    "true" if c.totally_semistable else "false",
+                                    ";".join(sorted(c.labels)),
                                     "inf" if codim is None else str(codim),
                                 ]
                             )
@@ -521,6 +566,38 @@ def test_cli_golden_digest():
     # twice in one process: the one shared parser must carry nothing between calls
     assert [workloads.cli_golden_digest(calls) for _ in range(2)] == [golden, golden]
     assert cli.build_parser() is cli.build_parser()
+
+
+# Text mode pins what the golden corpus, which passes --json on every valid
+# call, does not: the same calls without the flag, plus calls of the kinds
+# that the corpus lacks or draws rarely.
+_TEXT_CALLS = [
+    ["info", "--type", "3"],
+    ["pair", "--type", "1", "--v", "2,0,0,0", "--w", "1,1,1,1"],  # no l(v): not primitive
+    ["reduce", "--type", "5", "--vector", "7,3,-2,5"],
+    ["wall", "classify", "--type", "1", "--v", "1,0,0,-40", "--w", "0,0,0,1"],  # a witness
+    ["wall", "classify", "--type", "1", "--v", "2,0,0,-2", "--w", "0,0,0,1"],  # none
+    ["wall", "slice", "--type", "1", "--v", "0,1,-1,0", "--w", "0,0,0,1", "--H0", "1,1",
+     "--emit-samples", "2"],  # everywhere
+    ["wall", "slice", "--type", "1", "--v", "0,0,0,1", "--w", "0,1,0,0", "--H0", "1,1",
+     "--emit-samples", "2"],  # nowhere
+    ["wall", "slice", "--type", "2", "--v", "1,0,0,0", "--w", "0,1,1,0", "--H0", "1,1"],
+    ["moduli", "report", "--type", "1", "--vector", "1,0,0,1"],  # v^2 < 0: no singularities
+    ["moduli", "report", "--type", "6", "--vector", "2,0,1,-1", "--generic-surface"],
+    ["oracle", "cases", "--m", "6", "--target", "1", "--bound", "1"],
+    ["atlas", "--type", "2", "--bounds", "1,1,1,1", "--w", "0,0,0,1", "--w", "1,1,1,0"],
+    ["atlas", "--type", "1", "--bounds", "1,1,1,1", "--w", "0,0,0,0"],
+]
+
+
+def test_cli_text_digest():
+    workloads = _bench_workloads()
+    calls = workloads.cli_calls(
+        random.Random(workloads.CLI_GOLDEN_SEED), workloads.CLI_CALLS_PER_BATCH
+    )
+    argvs = [[a for a in argv if a != "--json"] for argv, _, _ in calls] + _TEXT_CALLS
+    digest = workloads.cli_golden_digest([(argv, None, None) for argv in argvs])
+    assert digest == "f0eb946e419987373d64fedbb24b3824e0c5caa6b7fb6f9807fdc83137d8baab"
 
 
 # ---------------------------------------------------------------------------

@@ -744,9 +744,9 @@ def type_steps(t):
 
 
 @st.composite
-def walls_and_words(draw):
-    """(t, H, word): a wall with v^2 <= 200 and 1 to 6 steps valid on t."""
-    t, H = draw(walls_up_to(200))
+def walls_and_words(draw, v2_max):
+    """(t, H, word): a wall with v^2 <= v2_max and 1 to 6 steps valid on t."""
+    t, H = draw(walls_up_to(v2_max))
     twists = st.builds(
         lambda x, y: TwistBy(DivisorClass(x, y)), st.integers(-3, 3), st.integers(-3, 3)
     )
@@ -762,7 +762,7 @@ class TestStepInvariance:
     without the oracle, at sizes the oracle cannot reach; it is a
     consistency check, not a truth check."""
 
-    @given(walls_and_words())
+    @given(walls_and_words(200))
     # Ord2Exceptional (the mod-3 bit), LGU, Ord3Exceptional, HilbertChow on
     # lambda = 3, LGUOrd2 (l(v) = 1): one composite move per kind of type
     @example((1, H_of(1, (3, 0, 0, -1), (0, 0, 0, 1)), [TwistBy(DivisorClass(1, 0)), PSI]))
@@ -772,6 +772,16 @@ class TestStepInvariance:
     @example((2, H_of(2, (2, 1, 2, 0), (0, 0, 0, 1)), [TwistBy(DivisorClass(-1, 2))]))
     @settings(max_examples=200, deadline=None)
     def test_words_keep_the_key_and_the_row(self, inst):
+        self.check(inst)
+
+    # the same check beyond the oracle's reach (v^2 ~ 200)
+    @given(walls_and_words(800))
+    @settings(max_examples=300, deadline=None)
+    def test_words_keep_the_key_and_the_row_up_to_square_800(self, inst):
+        self.check(inst)
+
+    @staticmethod
+    def check(inst):
         t, H, word = inst
 
         def g(p):
