@@ -93,10 +93,11 @@ def _cmd_reduce(args) -> tuple[dict, list[str]]:
         "type": args.type,
         "input": v.text(),
         "reduced": v0.text(),
-        "log": log.to_json(),
         "square": square(v0),
         "in_table": matches_reduced_form(args.type, v0),
     }
+    if args.json:  # the text line shows no log, and it costs about as much as the reduction
+        payload["log"] = log.to_json()
     return payload, [f"{v.text()} -> {v0.text()}  (square {payload['square']}, {len(log)} steps)"]
 
 

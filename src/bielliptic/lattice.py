@@ -1,13 +1,12 @@
 """The algebraic Mukai lattice of a bielliptic surface and its canonical cover.
 
 Num(S) = Z[A0] + Z[B0] with A0.B0 = 1 and A0^2 = B0^2 = 0, so a divisor
-class is a pair of integers and a Mukai vector is (r, a*A0 + b*B0, s) with
-pairing <v, w> = (a*b' + a'*b) - r*s' - r'*s.  All arithmetic is exact:
-Python integers and fractions.Fraction, never floats.
+class is a pair (a, b) and a Mukai vector is (r, a*A0 + b*B0, s) with
+pairing <v, w> = (a*b' + a'*b) - r*s' - r'*s.  Entries are ints, except where
+a stability parameter makes them fractions.Fraction; never floats.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from bielliptic.errors import PreconditionError
@@ -15,7 +14,7 @@ from bielliptic.surfaces import surface_invariants
 
 
 class DivisorClass:
-    """Integral divisor class a*A0 + b*B0 in Num(S); immutable by convention."""
+    """Divisor class a*A0 + b*B0 in Num(S), ints or Fractions; immutable by convention."""
 
     __slots__ = ("a", "b")
 
@@ -34,17 +33,24 @@ class DivisorClass:
     def __repr__(self) -> str:
         return f"DivisorClass(a={self.a!r}, b={self.b!r})"
 
+    def dot(self, other: "DivisorClass") -> int:
+        return self.a * other.b + other.a * self.b
+
     def self_int(self) -> int:
-        """D^2 = 2ab, always even."""
+        """D^2 = 2ab, even when D is integral."""
         return 2 * self.a * self.b
+
+    def is_ample(self) -> bool:
+        return self.a > 0 and self.b > 0
 
 
 class MukaiVector:
-    """Integral Mukai vector (r, a*A0 + b*B0, s) = (rank, c1, ch2 term).
+    """Mukai vector (r, a*A0 + b*B0, s) = (rank, c1, ch2 term).
 
-    A flat value of four ints.  Instances are immutable by convention:
-    nothing assigns to r, a, b or s after construction, which equality and
-    hashing rely on.
+    Four ints, or Fractions where a stability parameter made it; content,
+    is_primitive, primitive_part, text and parse need integral entries.
+    Immutable by convention: nothing assigns to r, a, b or s after
+    construction, which equality and hashing rely on.
     """
 
     __slots__ = ("r", "a", "b", "s")
@@ -154,52 +160,6 @@ def primitive_isotropic_in_series(r: int, D: DivisorClass) -> MukaiVector:
     n0 = r // gcd(r, ab) if ab != 0 else 1
     s0 = n0 * ab // r
     return MukaiVector.of(n0 * r, n0 * D.a, n0 * D.b, s0)
-
-
-# ---------------------------------------------------------------------------
-# rational variants (carry omega, beta, xi_sigma)
-
-
-@dataclass(frozen=True)
-class QDivisor:
-    """Divisor class with exact rational coefficients."""
-
-    a: Fraction
-    b: Fraction
-
-    @classmethod
-    def of(cls, a, b) -> "QDivisor":
-        return cls(Fraction(a), Fraction(b))
-
-    def dot(self, other) -> Fraction:
-        return self.a * other.b + other.a * self.b
-
-    def self_int(self) -> Fraction:
-        return 2 * self.a * self.b
-
-    def is_ample(self) -> bool:
-        return self.a > 0 and self.b > 0
-
-
-@dataclass(frozen=True)
-class QMukaiVector:
-    """Mukai vector (r, a*A0 + b*B0, s) with exact rational entries."""
-
-    r: Fraction
-    a: Fraction
-    b: Fraction
-    s: Fraction
-
-    @classmethod
-    def of(cls, r, a, b, s) -> "QMukaiVector":
-        return cls(Fraction(r), Fraction(a), Fraction(b), Fraction(s))
-
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.r, self.a, self.b, self.s)
-
-
-def pairing_with_rational(v: QMukaiVector, w: MukaiVector) -> Fraction:
-    return v.a * w.b + w.a * v.b - v.r * w.s - w.r * v.s
 
 
 # ---------------------------------------------------------------------------

@@ -39,26 +39,13 @@ class EqualityCase:
     b2: int
     target: int
 
-    def floor_equation_holds(self) -> bool:
-        return _floor_lhs(self.m, self.l1, self.l2, self.q, self.b1, self.b2) == self.target
-
-    def consistent(self) -> bool:
-        return (
-            self.m % self.l1 == 0
-            and self.m % self.l2 == 0
-            and (self.m * self.q) % (self.l1 * self.l2) == 0
-        )
-
-    def as_tuple(self) -> tuple[int, int, int, int, int, int, int]:
-        return (self.m, self.target, self.l1, self.l2, self.q, self.b1, self.b2)
-
 
 def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[EqualityCase]:
     """Exhaustive scan of all consistent solutions with b1, b2, q <= bound.
 
     Canonical form: l1 < l2, or l1 == l2 and b1 <= b2 (the two rays play
-    symmetric roles).  The scan runs in ``EqualityCase.as_tuple`` order, so
-    the output is sorted.
+    symmetric roles).  The scan runs in (l1, l2, q, b1, b2) order, so the
+    output is sorted by those fields.
     """
     if m not in (2, 3, 4, 6):
         raise PreconditionError(f"m must be one of 2, 3, 4, 6, got {m}")

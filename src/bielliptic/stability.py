@@ -13,13 +13,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from bielliptic.errors import DegenerateChargeError, PreconditionError
-from bielliptic.lattice import (
-    DivisorClass,
-    MukaiVector,
-    QDivisor,
-    QMukaiVector,
-    plane_key,
-)
+from bielliptic.lattice import DivisorClass, MukaiVector, plane_key
 from bielliptic.surfaces import surface_invariants
 
 
@@ -27,8 +21,8 @@ from bielliptic.surfaces import surface_invariants
 class GeometricStability:
     """A pair (beta, omega) of rational divisor classes with omega ample."""
 
-    beta: QDivisor
-    omega: QDivisor
+    beta: DivisorClass
+    omega: DivisorClass
 
     def __post_init__(self):
         if not self.omega.is_ample():
@@ -60,7 +54,7 @@ def central_charge(t: int, v: MukaiVector, sigma: GeometricStability) -> Complex
     """Z = [beta.c1 - s - r(beta^2 - omega^2)/2] + i[omega.c1 - r beta.omega]."""
     surface_invariants(t)
     beta, omega = sigma.beta, sigma.omega
-    c1 = QDivisor.of(v.a, v.b)
+    c1 = DivisorClass(v.a, v.b)
     re = beta.dot(c1) - v.s - Fraction(v.r) * (beta.self_int() - omega.self_int()) / 2
     im = omega.dot(c1) - v.r * beta.dot(omega)
     return ComplexRational(Fraction(re), Fraction(im))
@@ -100,7 +94,7 @@ def slice_charge(
 ) -> ComplexRational:
     """Z at beta = x*H0, omega = y*H0 (requires y > 0 for a genuine sigma)."""
     sigma = GeometricStability(
-        QDivisor.of(x * H0.a, x * H0.b), QDivisor.of(y * H0.a, y * H0.b)
+        DivisorClass(x * H0.a, x * H0.b), DivisorClass(y * H0.a, y * H0.b)
     )
     return central_charge(t, v, sigma)
 
@@ -114,7 +108,7 @@ def wall_in_slice(t: int, v: MukaiVector, w: MukaiVector, H0: DivisorClass) -> W
     up to normalization.
     """
     surface_invariants(t)
-    if not (H0.a > 0 and H0.b > 0):
+    if not H0.is_ample():
         raise PreconditionError(f"H0 must be ample, got ({H0.a},{H0.b})")
     if plane_key(v, w) is None:
         raise PreconditionError("v and w are collinear; the wall locus is degenerate")
@@ -173,8 +167,8 @@ def locus_samples(locus: WallLocus, count: int) -> list[tuple[Fraction, Fraction
 # the numerical divisor class attached to a stability condition
 
 
-def bayer_macri_class(t: int, v: MukaiVector, sigma: GeometricStability) -> QMukaiVector:
-    """Im of exp(beta + i*omega) / Z(v), componentwise; pairs to zero with v."""
+def bayer_macri_class(t: int, v: MukaiVector, sigma: GeometricStability) -> MukaiVector:
+    """Im of exp(beta + i*omega) / Z(v), componentwise, in Fractions; pairs to zero with v."""
     z = central_charge(t, v, sigma)
     if z.is_zero():
         raise DegenerateChargeError(f"Z({v.text()}) = 0")
@@ -185,9 +179,9 @@ def bayer_macri_class(t: int, v: MukaiVector, sigma: GeometricStability) -> QMuk
     def comp(re_c: Fraction, im_c: Fraction) -> Fraction:
         return (im_c * z.re - re_c * z.im) / n
 
-    return QMukaiVector(
+    return MukaiVector(
         comp(1, 0),
         comp(beta.a, omega.a),
         comp(beta.b, omega.b),
-        comp((beta.self_int() - omega.self_int()) / 2, beta.dot(omega)),
+        comp(Fraction(beta.self_int() - omega.self_int(), 2), beta.dot(omega)),
     )

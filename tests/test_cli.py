@@ -112,6 +112,15 @@ class TestReduce:
         with pytest.raises(Started):
             run_command(["reduce", "--type", "1", "--vector", f"{cli.MAX_REDUCE_RANK},1,0,0"])
 
+    def test_text_mode_builds_no_log(self, capsys, monkeypatch):
+        def no_log(self):
+            raise AssertionError("text mode prints no log")
+
+        monkeypatch.setattr(TransformLog, "to_json", no_log)
+        code, out, err = run(capsys, "reduce", "--type", "2", "--vector", "5,-3,2,-7")
+        assert (code, err) == (0, "")
+        assert out.startswith("5,-3,2,-7 -> ")
+
     def test_budget_exhausted_exits_3(self, capsys, monkeypatch):
         # with every step acting as the identity the loop never converges
         monkeypatch.setattr(transforms, "_act", lambda step, lam, ordk, r, a, b, s: (r, a, b, s))

@@ -1,9 +1,14 @@
+import ast
+import sys
+from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
 import hypothesis.strategies as st
 
+import bielliptic
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import (
     DivisorClass,
@@ -68,6 +73,13 @@ class TestFlatValue:
         assert MukaiVector(4, -2, 6, 0).primitive_part() == (2, MukaiVector(2, -1, 3, 0))
         with pytest.raises(PreconditionError):
             MukaiVector(0, 0, 0, 0).primitive_part()
+
+    def test_divisor_dot_and_amplitude(self):
+        D, E = DivisorClass(1, 2), DivisorClass(3, -1)
+        assert D.dot(E) == E.dot(D) == 5 and D.dot(D) == D.self_int() == 4
+        assert D.is_ample() and not E.is_ample() and not DivisorClass(0, 1).is_ample()
+        half = DivisorClass(Fraction(1, 2), Fraction(1, 3))
+        assert half.self_int() == Fraction(1, 3) and half.is_ample()
 
     @given(mukai_vectors(), st.integers(-5, 5))
     def test_collinear_with_multiples(self, v, n):
@@ -155,3 +167,36 @@ class TestIsotropicSeries:
         assert u.is_primitive()
         vprime = MukaiVector.of(n_ * r, n_ * a, n_ * b, s_)
         assert mukai_pairing(u, vprime) % r == 0
+
+
+def _package_sources():
+    for path in sorted(Path(bielliptic.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+class TestSourceHygiene:
+    """The package needs only the standard library and never computes in floats."""
+
+    def test_imports_are_stdlib_or_bielliptic(self):
+        allowed = sys.stdlib_module_names | {"bielliptic"}
+        bad = []
+        for name, tree in _package_sources():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                bad += [f"{name}:{node.lineno} {root}" for root in roots if root not in allowed]
+        assert bad == []
+
+    def test_no_float_literal_or_call(self):
+        bad = []
+        for name, tree in _package_sources():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                    bad.append(f"{name}:{node.lineno} literal {node.value!r}")
+                elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+                    bad.append(f"{name}:{node.lineno} float(...)")
+        assert bad == []

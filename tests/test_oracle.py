@@ -19,6 +19,19 @@ def load_fixture(m, target):
     return {(c["l1"], c["l2"], c["q"], c["b1"], c["b2"]) for c in data["cases"]}
 
 
+def _sort_key(c):
+    return (c.m, c.target, c.l1, c.l2, c.q, c.b1, c.b2)
+
+
+def _floor_equation_holds(c):
+    return -((c.b1 * c.l1) // c.m) - ((c.b2 * c.l2) // c.m) + c.b1 * c.b2 * c.q == c.target
+
+
+def _consistent(c):
+    """l1 | m, l2 | m and l1*l2 | m*q: the pullbacks' pairing is integral."""
+    return c.m % c.l1 == 0 and c.m % c.l2 == 0 and (c.m * c.q) % (c.l1 * c.l2) == 0
+
+
 def _reference_cases(m, target, bound):
     """The scan as first written: build every candidate, filter, then sort."""
     divisors = [d for d in range(1, m + 1) if m % d == 0]
@@ -37,7 +50,7 @@ def _reference_cases(m, target, bound):
                         case = EqualityCase(m, l1, l2, q, b1, b2, target)
                         if -((b1 * l1) // m) - ((b2 * l2) // m) + b1 * b2 * q == target:
                             out.append(case)
-    return sorted(out, key=EqualityCase.as_tuple)
+    return sorted(out, key=_sort_key)
 
 
 class TestEqualityCases:
@@ -63,7 +76,7 @@ class TestEqualityCases:
         )
         # floor-equation solutions with half-integral upstairs pairing stay out
         ghost = EqualityCase(m=6, l1=2, l2=2, q=1, b1=1, b2=1, target=1)
-        assert ghost.floor_equation_holds() and not ghost.consistent()
+        assert _floor_equation_holds(ghost) and not _consistent(ghost)
         assert (2, 2, 1, 1, 1) not in {
             (c.l1, c.l2, c.q, c.b1, c.b2) for c in enumerate_equality_cases(6, 1)
         }
@@ -72,11 +85,11 @@ class TestEqualityCases:
     @pytest.mark.parametrize("target", [0, 1])
     def test_every_case_reverifies(self, m, target):
         cases = enumerate_equality_cases(m, target)
-        assert len(cases) == len(set(c.as_tuple() for c in cases))
-        assert cases == sorted(cases, key=EqualityCase.as_tuple)
+        assert len(cases) == len(set(map(_sort_key, cases)))
+        assert cases == sorted(cases, key=_sort_key)
         for c in cases:
-            assert c.floor_equation_holds()
-            assert c.consistent()
+            assert _floor_equation_holds(c)
+            assert _consistent(c)
             assert c.l1 <= c.l2
             if c.l1 == c.l2:
                 assert c.b1 <= c.b2

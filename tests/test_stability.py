@@ -6,13 +6,7 @@ from hypothesis import example, given
 import hypothesis.strategies as st
 
 from bielliptic.errors import DegenerateChargeError, PreconditionError
-from bielliptic.lattice import (
-    DivisorClass,
-    MukaiVector,
-    QDivisor,
-    QMukaiVector,
-    pairing_with_rational,
-)
+from bielliptic.lattice import DivisorClass, MukaiVector, mukai_pairing
 from bielliptic.stability import (
     EVERYWHERE,
     NOWHERE,
@@ -38,13 +32,13 @@ positive_rationals = st.fractions(
 @st.composite
 def stabilities(draw):
     return GeometricStability(
-        QDivisor(draw(rationals), draw(rationals)),
-        QDivisor(draw(positive_rationals), draw(positive_rationals)),
+        DivisorClass(draw(rationals), draw(rationals)),
+        DivisorClass(draw(positive_rationals), draw(positive_rationals)),
     )
 
 
 def sigma_of(beta_a, beta_b, omega_a, omega_b):
-    return GeometricStability(QDivisor.of(beta_a, beta_b), QDivisor.of(omega_a, omega_b))
+    return GeometricStability(DivisorClass(beta_a, beta_b), DivisorClass(omega_a, omega_b))
 
 
 SIGMA = sigma_of(0, 0, 1, 1)
@@ -160,7 +154,7 @@ class TestLocusSamples:
 class TestBayerMacri:
     def test_point_class(self):
         xi = bayer_macri_class(1, MukaiVector.of(0, 0, 0, 1), SIGMA)
-        assert xi == QMukaiVector.of(0, -1, -1, 0)
+        assert xi == MukaiVector.of(0, -1, -1, 0)
 
     @given(surface_types, mukai_vectors(), stabilities())
     def test_orthogonal_to_v(self, t, v, sigma):
@@ -168,13 +162,27 @@ class TestBayerMacri:
             xi = bayer_macri_class(t, v, sigma)
         except DegenerateChargeError:
             return
-        assert pairing_with_rational(xi, v) == 0
+        assert mukai_pairing(xi, v) == 0
 
     def test_inverse_scaling(self):
         v = MukaiVector.of(1, 0, 0, 0)
         xi1 = bayer_macri_class(1, v, sigma_of(0, 0, 1, 1))
         xi2 = bayer_macri_class(1, v, sigma_of(0, 0, 2, 2))
         assert xi2.as_tuple() == tuple(c / 2 for c in xi1.as_tuple())
+
+    @given(
+        surface_types,
+        mukai_vectors(),
+        st.builds(sigma_of, st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6), st.integers(1, 6))
+        | stabilities(),
+    )
+    @example(1, MukaiVector.of(1, 0, 0, -1), SIGMA)  # integral beta, omega: s must be Fraction(0)
+    def test_components_are_fractions(self, t, v, sigma):
+        z = central_charge(t, v, sigma)
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        if z.is_zero():
+            return
+        assert all(type(c) is Fraction for c in bayer_macri_class(t, v, sigma).as_tuple())
 
     def test_degenerate_charge(self):
         # Z = -s + r*omega^2/2 + i*0 vanishes for (1, 0, 1) at omega = A0 + B0
