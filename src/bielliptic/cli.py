@@ -27,10 +27,10 @@ SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
 MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
-MAX_ATLAS_SQUARE = 256  # largest v^2 in that box; a wall's search is linear in v^2
+MAX_ATLAS_SQUARE = 256  # largest v^2 in that box; a wall's weight walk is at worst linear in it
 MAX_ATLAS_GENERATORS = 8  # `atlas --w` flags; each one is a sweep of the box
 MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
-MAX_WALL_SQUARE = 300_000  # v^2 of `wall classify --v`; the search is linear in it
+MAX_WALL_SQUARE = 300_000  # v^2 of `wall classify --v`; both walks are at worst linear in it
 MAX_REDUCE_RANK = 1_000_000  # rank of `reduce --vector`; a reduction takes about r steps
 
 
@@ -116,11 +116,10 @@ def _cmd_wall_classify(args) -> tuple[dict, list[str]]:
         "totally_semistable": c.totally_semistable,
         "witness": c.tss_witness.text() if c.tss_witness else None,
         "labels": sorted(c.labels),
-        "witnesses": {
-            label: [u.text() for u in us] for label, us in sorted(c.witnesses.items())
-        },
         "codim_bound": c.codim_bound,
     }
+    if args.json:  # the text lines show no witness, and a Flopping / FakeWall one costs a walk
+        payload["witnesses"] = {label: [u.text() for u in us] for label, us in sorted(c.witnesses.items())}
     return payload, [
         f"labels: {', '.join(payload['labels'])}",
         f"totally semistable: {c.totally_semistable}"

@@ -63,7 +63,7 @@ class _Atom(Enum):
     PSI_DUAL_MOVE = "psi_dual_move"
 
     def describe(self) -> dict:
-        return {"step": self.value, "params": None}
+        return _ATOM_JSON[self]  # one shared dict per atom: read it, do not change it
 
 
 DUAL = _Atom.DUAL
@@ -79,6 +79,7 @@ PSI_DUAL_MOVE = _Atom.PSI_DUAL_MOVE
 TransformStep = TwistBy | _Atom
 
 _STEP_NAMES = {a.value: a for a in _Atom}
+_ATOM_JSON = {a: {"step": a.value, "params": None} for a in _Atom}
 
 
 def step_from_json(obj: dict) -> TransformStep:
@@ -146,6 +147,8 @@ class TransformLog:
         return v
 
     def to_json(self) -> list[dict]:
+        """One item per step, as step_from_json reads it.  The items are
+        read-only: an atom's item is one dict shared by every log."""
         return [step.describe() for step in self.steps]
 
     @classmethod

@@ -3,13 +3,14 @@
 A wall lattice is the saturation of the span of v (v^2 > 0) and a second
 class w; it carries two, or zero, rational isotropic rays.  The classifier
 evaluates the totally-semistable tests and each contraction clause against
-the rays' pairing and divisibility invariants, and reports the first
-effective decomposition of v inside the positive cone together with the
-minimum of the filtration-stratum codimension bound over all of them,
-found by a max-weight search that does not list the decompositions.
+the rays' pairing and divisibility invariants, and reports the minimum of
+the filtration-stratum codimension bound over v's effective decompositions
+in the positive cone by a max-weight walk that lists none; the first one,
+the Flopping / FakeWall witness, is walked for only when it is read.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -129,17 +130,13 @@ def isotropic_rays(H: HyperbolicPair) -> list[tuple[MukaiVector, int, int]]:
     return out
 
 
-def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
-    """All lattice points p with q(p) >= 0 and 1 <= <v, p> <= pairing_cap.
-
-    Writing <v, (x, y)> = cA*x + cB*y with g = gcd(cA, cB), the line
-    <v, p> = k holds lattice points only when g | k.  For k = j*g they are
-    j*e + t*n, where cA*e_x + cB*e_y = g (extended gcd) and n = (cB, -cA)/g
-    spans v's orthogonal complement, so q(n) < 0.  q(j*e + t*n) is then a
-    concave quadratic in t, whose integer interval of nonnegative values
-    comes from isqrt exactly.  The cost is O(pairing_cap / g + #points).
-    The points are distinct (different lines or different t), and they
-    come back sorted by (x, y).
+def _positive_lines(H: HyperbolicPair):
+    """(g, e, n, t_range): with <v, (x, y)> = cA*x + cB*y and g = gcd(cA, cB),
+    only the lines <v, p> = j*g hold lattice points, and those with
+    q(p) >= 0 on the line j*g are j*e + t*n for t in t_range(j).  Here
+    cA*e_x + cB*e_y = g (extended gcd) and n = (cB, -cA)/g spans v's
+    orthogonal complement, so q(n) < 0: q(j*e + t*n) is a concave
+    quadratic in t, whose interval of nonnegative values isqrt gives exactly.
     """
     (g11, g12), (_, g22) = H.gram
     vx, vy = H.vxy
@@ -153,17 +150,20 @@ def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, in
     # that is -det(gram) det(e, n)^2, and det(e, n) = -1
     en = g11 * ex * nx + g12 * (ex * ny + ey * nx) + g22 * ey * ny
     D = g12 * g12 - g11 * g22
-    found = []
-    for j in range(1, pairing_cap // g + 1):
-        b = j * en
-        s = isqrt(j * j * D)
-        bx, by = j * ex, j * ey
-        found.extend(
-            (bx + t * nx, by + t * ny)
-            for t in range(-((s - b) // neg_n2), (b + s) // neg_n2 + 1)
-        )
-    found.sort()
-    return found
+
+    def t_range(j: int) -> range:
+        b, s = j * en, isqrt(j * j * D)
+        return range(-((s - b) // neg_n2), (b + s) // neg_n2 + 1)
+
+    return g, (ex, ey), (nx, ny), t_range
+
+
+def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
+    """The p with q(p) >= 0 and 1 <= <v, p> <= pairing_cap, sorted by (x, y)."""
+    g, (ex, ey), (nx, ny), t_range = _positive_lines(H)
+    return sorted(
+        (j * ex + t * nx, j * ey + t * ny) for j in range(1, pairing_cap // g + 1) for t in t_range(j)
+    )
 
 
 def enumerate_decompositions(
@@ -177,7 +177,7 @@ def enumerate_decompositions(
     the remainder, and a branch stops once the remainder leaves the closed
     positive cone, which holds every sum of parts.  The list grows steeply
     with v^2; classify_wall does not build it, and the tests use it as the
-    reference for _decomposition_search.
+    reference for _weight_walk and _witness_walk.
     """
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
@@ -235,70 +235,85 @@ def hn_codim_bound(t: int, parts: list[MukaiVector]) -> int:
     return total
 
 
-def _decomposition_search(
-    H: HyperbolicPair, max_parts: int
-) -> tuple[tuple[MukaiVector, ...] | None, int | None]:
-    """enumerate_decompositions(H, max_parts)[0] and the minimum of
-    hn_codim_bound over that list, or (None, None) when it is empty,
-    computed without listing it.
-
-    Every part p has v - p in the closed positive cone, so the possible
-    parts form the set C of positive classes p with q(v - p) >= 0.  C is
-    closed under p -> v - p, so each member lies in the decomposition
-    {p, v - p}, and a remainder rem - c left by members rem and c can be
-    completed exactly when it lies in C.  Since q(v - p) = v^2 - 2<v, p>
-    + q(p), every positive class with <v, p> <= v^2/2 is in C, and every
-    other member p has v - p on such a line; so C = half + (v - half)
-    with half the positive classes on the lines <v, p> <= v^2/2.
+def _weight_walk(H: HyperbolicPair) -> int | None:
+    """The minimum of hn_codim_bound over enumerate_decompositions(H, m),
+    the same for every m >= 2, or None when that list is empty.
 
     Since sum_{i<j} <p_i, p_j> = (v^2 - sum p_i^2) / 2, a decomposition's
     bound is v^2/2 - sum w(p_i), with w(p) = p^2/2 for p^2 > 0 and
-    w(b*u) = floor(b * l(u) / ord_k) for an isotropic part b*u, so the
-    minimum bound is a maximum weight.  Two parts can be merged into one
-    without lowering the weight if one of them, p, has p^2 > 0:
-    w(p + q) = w(p) + q^2/2 + <p, q>, where <p, q> > 0 for q^2 > 0, and
-    <p, b*u> >= b >= w(b*u) because <p, u> is a positive integer and l(u)
-    divides ord_k.  Two isotropic parts on one ray can be merged too
-    (floor is superadditive), and the lattice has at most two isotropic
-    rays.  Hence some decomposition into two parts has the maximum weight,
-    whatever max_parts is.
+    w(b*u) = floor(b * l(u) / ord_k) = floor(l(b*u) / ord_k) for an
+    isotropic part b*u, so the minimum bound is a maximum weight.  Two
+    parts can be merged into one without lowering the weight if one of
+    them, p, has p^2 > 0: w(p + q) = w(p) + q^2/2 + <p, q>, where
+    <p, q> > 0 for q^2 > 0, and <p, b*u> >= b >= w(b*u) because <p, u> is a
+    positive integer and l(u) divides ord_k.  Two isotropic parts on one
+    ray can be merged too (floor is superadditive), and the lattice has at
+    most two isotropic rays.  Hence some {p, v - p} with p positive and
+    <v, p> = k <= v^2/2 has the maximum weight (q(v - p) = v^2 - 2k + q(p)).
 
-    The first decomposition in (r, a, b, s) order is built greedily: its
-    next part is the smallest c that occurs in some completion of the
-    remainder, i.e. c == rem, or rem - c in C with room for two more
-    parts.  Every part of such a completion is >= the parts already
-    chosen, so the walk never backtracks.
+    Stopping: on a line k < v^2/2, q(v - p) > 0 and the pair weighs
+    v^2/2 - k + p^2, with p^2 <= k^2 / v^2 by reverse Cauchy-Schwarz, or
+    v^2/2 - k + w(p) for p = b*u isotropic; as q = <v, u> >= 1 and
+    l(u) <= ord_k, that does not grow with b, so u (on line q) weighs as
+    much.  Once the best weight found is >= B(k) = v^2/2 - k +
+    max(floor(k^2 / v^2), 1), which does not grow on k < v^2/2, no line
+    from k to v^2/2 - 1 beats it, and the walk skips to the last line
+    k = v^2/2.  That one it always walks: there both parts can be isotropic.
     """
-    if max_parts < 2:
-        raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
     data = surface_invariants(H.surface)
     ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
     (g11, g12), (_, g22) = H.gram
     (r1, a1, b1, s1), (r2, a2, b2, s2) = H.basis
+    vx, vy = H.vxy
+    v2 = square(H.v)
+    half = v2 // 2
+    g, (ex, ey), (nx, ny), t_range = _positive_lines(H)
+
+    def w_iso(x: int, y: int) -> int:  # w(p) of an isotropic p = (x, y)
+        l = gcd(x * r1 + y * r2, x * a1 + y * a2, mb * (x * b1 + y * b2), ordk * (x * s1 + y * s2))
+        return l // ordk
+
+    most, j, last = -1, 1, half // g
+    while j <= last:
+        k = j * g
+        if most >= 0 and k < half and half - k + max(k * k // v2, 1) <= most:
+            if half % g:  # no lattice point on the last line
+                break
+            j, k = last, half
+        for t in t_range(j):
+            x, y = j * ex + t * nx, j * ey + t * ny
+            sq = g11 * x * x + 2 * g12 * x * y + g22 * y * y
+            rest = v2 - 2 * k + sq
+            w = (sq // 2 if sq else w_iso(x, y)) + (rest // 2 if rest else w_iso(vx - x, vy - y))
+            if w > most:
+                most = w
+        j += 1
+    return None if most < 0 else half - most
+
+
+def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] | None:
+    """enumerate_decompositions(H, max_parts)[0], or None when that list is
+    empty.  Its parts form C, the positive classes p with q(v - p) >= 0:
+    C = half + (v - half), for half the positive classes with <v, p> <=
+    v^2/2 (see _weight_walk; <v, p> + <v, v - p> = v^2).  C is closed
+    under p -> v - p, so a remainder rem - c left by members rem and c can
+    be completed exactly when it lies in C.  The walk builds the first
+    decomposition in (r, a, b, s) order greedily: its next part is the
+    smallest c that occurs in some completion of the remainder (c == rem,
+    or rem - c in C with room for two more parts).  Every part of such a
+    completion is >= the parts already chosen, so it never backtracks.
+    """
+    (r1, a1, b1, s1), (r2, a2, b2, s2) = H.basis
     vr, va, vb, vs = H.v.as_tuple()
     vx, vy = H.vxy
-    cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy  # <v, (x, y)> = cA*x + cB*y
-    v2 = cA * vx + cB * vy
-    half = _positive_classes(H, v2 // 2)
-    if not half:
-        return None, None
     # (r, a, b, s) of each member of C, keyed by coordinates
     rabs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    most = 0
-    for x, y in half:
+    for x, y in _positive_classes(H, square(H.v) // 2):
         pr, pa, pb, ps = x * r1 + y * r2, x * a1 + y * a2, x * b1 + y * b2, x * s1 + y * s2
-        qr, qa, qb, qs = vr - pr, va - pa, vb - pb, vs - ps
-        sq = g11 * x * x + 2 * g12 * x * y + g22 * y * y
-        rest_sq = v2 - 2 * (cA * x + cB * y) + sq
-        w = (
-            (sq // 2 if sq else gcd(pr, pa, mb * pb, ordk * ps) // ordk)
-            + (rest_sq // 2 if rest_sq else gcd(qr, qa, mb * qb, ordk * qs) // ordk)
-        )
-        if w > most:
-            most = w
         rabs[(x, y)] = (pr, pa, pb, ps)
-        rabs[(vx - x, vy - y)] = (qr, qa, qb, qs)
-
+        rabs[(vx - x, vy - y)] = (vr - pr, va - pa, vb - pb, vs - ps)
+    if not rabs:
+        return None
     order = sorted(rabs, key=rabs.__getitem__)
     first = []
     rem, left, idx = (vx, vy), max_parts, 0
@@ -313,13 +328,19 @@ def _decomposition_search(
             rem, left = rest, left - 1
         else:
             idx += 1
-    return tuple(MukaiVector(*rabs[c]) for c in first), v2 // 2 - most
+    return tuple(MukaiVector(*rabs[c]) for c in first)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WallClassification:
+    """`found` maps each label to its witnesses, or to None for the
+    Flopping / FakeWall witness, which `witnesses` walks for when first
+    read; atlas reads only the labels and the bound, and never pays for it."""
+
+    H: HyperbolicPair
+    max_parts: int
     tss_witness: MukaiVector | None
-    witnesses: dict[str, tuple[MukaiVector, ...]]  # label -> its witnesses
+    found: dict[str, tuple[MukaiVector, ...] | None]
     codim_bound: int | None  # None encodes +infinity (no decomposition)
 
     @property
@@ -328,7 +349,20 @@ class WallClassification:
 
     @property
     def labels(self) -> frozenset[str]:
-        return frozenset(self.witnesses)
+        return frozenset(self.found)
+
+    @cached_property
+    def witnesses(self) -> dict[str, tuple[MukaiVector, ...]]:  # label -> its witnesses
+        return {
+            label: _witness_walk(self.H, self.max_parts) if us is None else us
+            for label, us in self.found.items()
+        }
+
+    def __eq__(self, other):  # equal results, whatever basis each H has
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = ("tss_witness", "witnesses", "codim_bound")
+        return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
 def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
@@ -346,6 +380,8 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
     v2 = square(v)
     if v2 <= 0:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
+    if max_parts < 2:
+        raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
     lv = l_invariant_any(t, v)
     info = isotropic_rays(H)  # (u, <v, u>, l(u))
 
@@ -355,7 +391,7 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
     )
     tss_witness = (tss1 + tss2)[0] if tss1 or tss2 else None
 
-    witnesses: dict[str, tuple[MukaiVector, ...]] = {}
+    witnesses: dict[str, tuple[MukaiVector, ...] | None] = {}
 
     def add(label: str, found: tuple[MukaiVector, ...]):
         if found:
@@ -380,23 +416,15 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         add(ORD3_EXCEPTIONAL, tuple(u for u, q, l in info if q == 3 and l == 3))
     add(P1_FIBRATION, tss2)
 
-    first, codim = _decomposition_search(H, max_parts)
-    if v.is_primitive():
-        if v2 >= 4 and first and not (witnesses.keys() & _CONTRACTION_LABELS):
-            add(FLOPPING, first)
+    codim = _weight_walk(H)  # None when v has no decomposition
+    if v.is_primitive():  # None: the first decomposition, walked for when it is read
+        if v2 >= 4 and codim is not None and not (witnesses.keys() & _CONTRACTION_LABELS):
+            witnesses[FLOPPING] = None
         if not witnesses:
-            if first:
-                witnesses[FAKE_WALL] = first
-            else:
-                witnesses[NO_WALL] = ()
+            witnesses.update({NO_WALL: ()} if codim is None else {FAKE_WALL: None})
     elif not witnesses:
         witnesses[INDETERMINATE] = ()
-
-    return WallClassification(
-        tss_witness=tss_witness,
-        witnesses=witnesses,
-        codim_bound=codim,
-    )
+    return WallClassification(H, max_parts, tss_witness, witnesses, codim)
 
 
 def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -142,6 +143,19 @@ class TestLogs:
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError):
             step_from_json({"step": "frobnicate", "params": None})
+
+    def test_json_of_a_long_log_shares_the_atom_items(self):
+        # 20,000 phi_inv steps: one list of references, not a dict per step
+        _, log = reduce_to_table(1, MukaiVector.of(20_000, 1, 0, 0))
+        assert len(log) > 19_990
+        tracemalloc.start()
+        try:
+            items = log.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * len(log)
+        assert items[0] is items[1] == {"step": "phi_inv", "params": None}
 
     @pytest.mark.parametrize(
         "item",

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import time
 from fractions import Fraction
 from math import gcd, isqrt
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
+from bielliptic import walls as walls_module
+from bielliptic.cli import MAX_WALL_SQUARE, run_command
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import (
     DivisorClass,
@@ -38,8 +41,9 @@ from bielliptic.walls import (
     NO_WALL,
     P1_FIBRATION,
     HyperbolicPair,
-    _decomposition_search,
     _positive_classes,
+    _weight_walk,
+    _witness_walk,
     approximate_isotropic_full_l,
     classify_wall,
     enumerate_decompositions,
@@ -402,7 +406,8 @@ def reference_search(H, max_parts):
 
 def assert_matches_reference(H, max_parts):
     first, codim = reference_search(H, max_parts)
-    assert _decomposition_search(H, max_parts) == (first, codim)
+    assert _weight_walk(H) == codim
+    assert _witness_walk(H, max_parts) == first
     c = classify_wall(H, max_parts)
     assert c.codim_bound == codim
     for label in (FLOPPING, FAKE_WALL):
@@ -462,7 +467,7 @@ class TestDecompositionSearch:
     @given(raw_instances)
     @settings(max_examples=40, deadline=None)
     def test_reference_minimum_is_attained_by_two_parts(self, raw):
-        # the merge argument in _decomposition_search, checked on the listing
+        # the merge argument in _weight_walk, checked on the listing
         inst = build_instance(raw)
         assume(inst is not None)
         _, H = inst
@@ -475,21 +480,95 @@ class TestDecompositionSearch:
         assume(inst is not None)
         _, H = inst
         v2 = square(H.v)
-        assert _decomposition_search(H, v2 + 1) == _decomposition_search(H, 10**18)
-        assert _decomposition_search(H, v2) == _decomposition_search(H, 10**18)
+        assert _witness_walk(H, v2 + 1) == _witness_walk(H, 10**18)
+        assert _witness_walk(H, v2) == _witness_walk(H, 10**18)
 
     def test_rejects_fewer_than_two_parts(self):
         with pytest.raises(PreconditionError):
-            _decomposition_search(H_of(1, (1, 0, 0, -2), (0, 0, 0, 1)), 1)
+            classify_wall(H_of(1, (1, 0, 0, -2), (0, 0, 0, 1)), 1)
 
-    def test_hilbert_chow_400_is_fast(self):
-        # listing the decompositions here takes minutes (5.9 s at n = 200)
-        H = H_of(1, (1, 0, 0, -400), (0, 0, 0, 1))
+    # one wall for each case of _weight_walk's stopping rule, with its
+    # minimum bound; each comment names the line of the maximum weight
+    @pytest.mark.parametrize(
+        "t, v, w, codim",
+        [
+            # a positive pair, p^2 = 4 and (v - p)^2 = 16 on the line 12 of
+            # 1..18; a walk that stops one line early ends at line 9, with 9
+            pytest.param(3, (3, 6, 6, 6), (2, 3, 2, 3), 8, id="positive-pair"),
+            # the isotropic b = 1 part (0, 0, 0, -1), l = ord_k, on line 1;
+            # b*(0, 0, 0, -1) on line b ties, and the walk skips those lines
+            pytest.param(1, (1, 0, 0, -3), (0, 0, 0, 1), 0, id="isotropic-b1"),
+            pytest.param(1, (1, 0, 0, -40), (0, 0, 0, 1), 0, id="isotropic-b1-skips"),
+            # 2*(1, 0, 0, 0) + (0, 0, 0, -1): both parts isotropic, the
+            # first with b = 2, on the last line 2; line 1 weighs only 1
+            pytest.param(1, (2, 0, 0, -1), (0, 0, 0, 1), 0, id="isotropic-b2-last-line"),
+            # (1, 0, 0, 0) + (0, 0, 0, -1): both isotropic, the only line
+            pytest.param(1, (1, 0, 0, -1), (0, 0, 0, 1), 0, id="isotropic-pair-last-line"),
+            # the same on ord_k = 4: the last line weighs 0 + 1, no more than line 1
+            pytest.param(3, (2, 0, 0, -1), (0, 0, 0, 1), 1, id="isotropic-b2-ord4"),
+        ],
+    )
+    def test_stopping_rule_cases(self, t, v, w, codim):
+        H = H_of(t, v, w)
+        assert _weight_walk(H) == codim
+        assert_matches_reference(H, 4)
+
+    def test_hilbert_chow_at_the_cli_cap_is_fast(self, capsys):
+        # listing the decompositions here takes minutes (5.9 s at n = 200);
+        # the weight walk stops after line 1 and then walks the last line
+        v = MukaiVector.of(1, 0, 0, -MAX_WALL_SQUARE // 2)
+        assert square(v) == MAX_WALL_SQUARE
         start = time.perf_counter()
+        code = run_command(["wall", "classify", "--type", "1", f"--v={v.text()}", "--w", "0,0,0,1", "--json"])
+        elapsed = time.perf_counter() - start
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and elapsed < 2.0
+        assert payload["labels"] == [HILBERT_CHOW]
+        assert payload["codim_bound"] == 0
+
+
+class TestOnDemandWitness:
+    """The Flopping / FakeWall witness is walked for only when read."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls, walk = [], walls_module._witness_walk
+
+        def counted(H, max_parts):
+            calls.append(H.v)
+            return walk(H, max_parts)
+
+        monkeypatch.setattr(walls_module, "_witness_walk", counted)
+        return calls
+
+    @pytest.mark.parametrize("t", range(1, 8))
+    def test_atlas_never_walks(self, walks, capsys, t):
+        code = run_command(["atlas", "--type", str(t), "--bounds", "3,2,2,3",
+                            "--w", "0,0,0,1", "--w", "1,0,0,0"])
+        out = capsys.readouterr().out
+        assert code == 0 and (FLOPPING in out or FAKE_WALL in out)
+        assert walks == []
+
+    @pytest.mark.parametrize(
+        "vw, flags, n",
+        [
+            (["--v=1,0,0,-40", "--w", "0,0,0,1"], ["--json"], 0),  # Hilbert-Chow: no witness to walk for
+            (["--v", "3,2,-2,-2", "--w", "1,0,0,0"], [], 0),  # Flopping, but the text shows no witness
+            (["--v", "3,2,-2,-2", "--w", "1,0,0,0"], ["--json"], 1),
+        ],
+    )
+    def test_wall_classify_walks_only_for_a_printed_witness(self, walks, capsys, vw, flags, n):
+        assert run_command(["wall", "classify", "--type", "1", *vw, *flags]) == 0
+        capsys.readouterr()
+        assert len(walks) == n
+
+    def test_flopping_walks_once_when_read(self, walks):
+        H = H_of(1, (3, 2, -2, -2), (1, 0, 0, 0))
         c = classify_wall(H)
-        assert time.perf_counter() - start < 10.0
-        assert c.labels == frozenset({HILBERT_CHOW})
-        assert c.codim_bound == 0
+        assert c.labels == frozenset({FLOPPING}) and walks == []
+        assert c.witnesses[FLOPPING] == reference_search(H, 4)[0]
+        assert c.witnesses[FLOPPING] == reference_search(H, 4)[0]
+        assert walks == [H.v]
 
 
 class TestClassification:
