@@ -15,10 +15,10 @@ from math import gcd, prod
 
 from bielliptic.errors import PreconditionError
 from bielliptic.lattice import DivisorClass, MukaiVector, l_invariant, mukai_pairing, square
-from bielliptic.linalg import unimodular_completion
+from bielliptic.linalg import unit_dual
 from bielliptic.moduli import bridgeland_nonempty, gieseker_report, singularity_report
 from bielliptic.oracle import enumerate_equality_cases
-from bielliptic.stability import EVERYWHERE, NOWHERE, locus_samples, wall_in_slice
+from bielliptic.stability import locus_samples, wall_in_slice
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
 from bielliptic.walls import HyperbolicPair, classify_wall, saturate_lattice, wall_key, wall_plane
@@ -137,12 +137,9 @@ def _cmd_wall_slice(args) -> tuple[dict, list[str]]:
     w = MukaiVector.parse(args.w)
     H0 = _parse_divisor(args.H0)
     locus = wall_in_slice(args.type, v, w, H0)
-    if locus is EVERYWHERE:
-        locus_json: dict | str = "everywhere"
-        text = "locus: everywhere"
-    elif locus is NOWHERE:
-        locus_json = "nowhere"
-        text = "locus: nowhere"
+    if isinstance(locus, str):  # EVERYWHERE or NOWHERE
+        locus_json: dict | str = locus
+        text = f"locus: {locus}"
     else:
         locus_json = {"alpha": locus.alpha, "beta": locus.beta, "gamma": locus.gamma}
         text = (
@@ -220,15 +217,15 @@ def _cmd_oracle_cases(args) -> tuple[dict, list[str]]:
 def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[tuple]:
     """The unsorted CSV rows of every wall (v, w) with v in the box."""
     # A row is a function of walls.wall_key: classify each key once, on the
-    # plane Z*w0 + Z*u the key is read off, with v = (alpha, g) in it from
-    # v . U = (alpha, beta) for U the unimodular completion of w; and each
-    # orbit of v under {+-1, +-D} has one row, D the derived dual, so only
-    # its representative is classified (README, "The atlas sweep").
+    # plane Z*w0 + Z*u the key is read off, for y.w0 = 1 and u the primitive
+    # part of v - (y.v) w0, first nonzero entry positive, so v = (y.v, g);
+    # and each orbit of v under {+-1, +-D} has one row, D the derived dual,
+    # so only its representative is classified (README, "The atlas sweep").
     data = surface_invariants(t)
     ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
-    sweeps = [  # w's text, whether D keeps it, w0, the columns of U, w's planes
-        (w.text(), w.a == w.b == 0 or w.r == w.s == 0, w.primitive_part()[1].as_tuple(),
-         *unimodular_completion(w.as_tuple()), {}) for w in generators
+    sweeps = [  # w's text, whether D keeps it, w0 = w / content(w), y, w's planes
+        (w.text(), w.a == w.b == 0 or w.r == w.s == 0,
+         w0 := w.primitive_part()[1].as_tuple(), unit_dual(w0), {}) for w in generators
     ]
     tails: dict[tuple, tuple] = {}
     rb, ab, bb, sb = bounds
@@ -249,24 +246,21 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                     else:
                         dr, da, db, ds = dual
                         orbit = (*pair, f"{dr},{da},{db},{ds}", f"{-dr},{-da},{-db},{-ds}")
-                    for wt, w_kept, w0, U0, U1, U2, U3, planes in sweeps:
+                    for wt, w_kept, w0, (y0, y1, y2, y3), planes in sweeps:
                         names = orbit if w_kept else pair
                         if names is None:
                             continue
-                        b1 = r * U1[0] + a * U1[1] + b * U1[2] + s * U1[3]
-                        b2 = r * U2[0] + a * U2[1] + b * U2[2] + s * U2[3]
-                        b3 = r * U3[0] + a * U3[1] + b * U3[2] + s * U3[3]
-                        g = gcd(b1, b2, b3)
+                        alpha = r * y0 + a * y1 + b * y2 + s * y3
+                        p0, p1, p2, p3 = w0
+                        u0, u1, u2, u3 = r - alpha * p0, a - alpha * p1, b - alpha * p2, s - alpha * p3
+                        g = gcd(u0, u1, u2, u3)
                         if not g:  # v and w are collinear
                             continue
-                        if (b1 or b2 or b3) < 0:
+                        if (u0 or u1 or u2 or u3) < 0:
                             g = -g
-                        alpha = r * U0[0] + a * U0[1] + b * U0[2] + s * U0[3]
-                        plane = planes.get(pk := (b1 // g, b2 // g, b3 // g))
-                        if plane is None:  # a plane not seen before
-                            u = tuple((x - alpha * y) // g for x, y in zip((r, a, b, s), w0))
-                            plane = planes[pk] = (u, *wall_plane(t, w0, u))
-                        u, gram, rays = plane
+                        u = (u0 // g, u1 // g, u2 // g, u3 // g)
+                        # u names the plane, which is built when first seen
+                        gram, rays = planes.get(u) or planes.setdefault(u, wall_plane(t, w0, u))
                         if rays is None:  # not hyperbolic
                             continue
                         key = wall_key(gram, (alpha, g), lv, rays)

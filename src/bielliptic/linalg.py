@@ -1,11 +1,10 @@
-"""Small exact integer linear algebra: extended gcd, unimodular completion,
-saturation.
+"""Small exact integer linear algebra: extended gcd, a dual vector y with
+y.p = 1, saturation.
 
 Everything operates on Python ints and lists of rows; sizes here are tiny
 (vectors in Z^4), so Euclid's algorithm is plenty.
 """
 
-from itertools import combinations
 from math import gcd
 
 
@@ -22,47 +21,34 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def unimodular_completion(w: tuple[int, ...]) -> list[list[int]]:
-    """The columns of an integer U with det U = +-1 and w0 . U = e1, for
-    w0 = w / content(w), w in Z^n nonzero and n >= 2, by determinant-1 moves
-    on columns 0 and j that set entry j of w0 . U to 0.  So p . U lists p's
-    coordinates in the basis of Z^n that the rows of U^-1 form (w0 first)."""
-    row = [x // gcd(*w) for x in w]
-    cols = [[int(i == j) for i in range(len(w))] for j in range(len(w))]
-    for j in range(1, len(w)):
-        g, x, y = ext_gcd(row[0], row[j])
-        if g:
-            p, q = row[0] // g, row[j] // g
-            cols[0], cols[j] = (
-                [x * a + y * b for a, b in zip(cols[0], cols[j])],
-                [p * b - q * a for a, b in zip(cols[0], cols[j])],
-            )
-            row[0] = g
-    return cols
+def unit_dual(p: tuple[int, ...] | list[int]) -> list[int]:
+    """y with y.p = 1 for p primitive, so that Z^n = Zp + ker(y): a running
+    extended gcd over p's coordinates that stops once the gcd is 1."""
+    y, g = [0] * len(p), 0
+    for i, px in enumerate(p):
+        g, a, b = ext_gcd(g, px)
+        y = [a * yx for yx in y]
+        y[i] = b
+        if g == 1:
+            break
+    return y
 
 
 def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
     """A basis (p, f) of the saturation of the lattice spanned by two rows
     (v, w), with p = v / content(v), so that v = content(v) * p.
 
-    With d the gcd of the 2x2 minors of (p, w) and y.p = 1, the second
-    vector is f = (w - (y.w) p) / d (see README, "The wall classifier").
-    Only [p] comes back when the rows are linearly dependent (d = 0), and
-    nothing when v = 0.
+    With y = unit_dual(p), u = w - (y.w) p lies in ker(y), and f = u / d
+    for d = content(u) (see README, "The wall classifier").  Only [p]
+    comes back when the rows are linearly dependent (u = 0), and nothing
+    when v = 0.
     """
     v, w = rows
     c = gcd(*v)
     if c == 0:
         return []
     p = [x // c for x in v]
-    d = gcd(*(p[i] * w[j] - p[j] * w[i] for i, j in combinations(range(len(p)), 2)))
-    if d == 0:
-        return [p]
-    # y.p = g = gcd of the coordinates of p seen so far; stop once it is 1
-    g = yw = 0
-    for px, wx in zip(p, w):
-        g, a, b = ext_gcd(g, px)
-        yw = a * yw + b * wx
-        if g == 1:
-            break
-    return [p, [(wx - yw * px) // d for px, wx in zip(p, w)]]
+    yw = sum(a * b for a, b in zip(unit_dual(p), w))
+    u = [wx - yw * px for px, wx in zip(p, w)]
+    d = gcd(*u)
+    return [p, [x // d for x in u]] if d else [p]

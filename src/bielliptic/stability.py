@@ -73,20 +73,10 @@ class QuadraticLocus:
     gamma: int
 
 
-class _Everywhere:
-    def __repr__(self):
-        return "Everywhere"
+EVERYWHERE = "everywhere"
+NOWHERE = "nowhere"
 
-
-class _Nowhere:
-    def __repr__(self):
-        return "Nowhere"
-
-
-EVERYWHERE = _Everywhere()
-NOWHERE = _Nowhere()
-
-WallLocus = QuadraticLocus | _Everywhere | _Nowhere
+WallLocus = QuadraticLocus | str  # the str is EVERYWHERE or NOWHERE
 
 
 def slice_charge(
@@ -141,9 +131,9 @@ def locus_samples(locus: WallLocus, count: int) -> list[tuple[Fraction, Fraction
     y = isqrt(n) / (alpha*den).  May return fewer than requested (a
     rational circle need not have rational points).
     """
-    if count <= 0 or locus is NOWHERE:
+    if count <= 0 or locus == NOWHERE:
         return []
-    if locus is EVERYWHERE:
+    if locus == EVERYWHERE:
         return [(Fraction(k), Fraction(1)) for k in range(count)]
     alpha, beta, gamma = locus.alpha, locus.beta, locus.gamma
     if alpha == 0:

@@ -466,6 +466,30 @@ class TestAtlas:
             assert (code, err) == (0, ""), pair
             assert hashlib.sha256(out.encode()).hexdigest() == digests[str(t)], pair
 
+    def test_each_plane_is_built_once_per_generator(self, capsys, monkeypatch):
+        # The sweep keys its plane memo by u, the primitive part of
+        # v - (y.v) w0 with its first nonzero entry positive, so one plane
+        # through w0 must reach wall_plane once.  Without the sign flip u and
+        # -u would build it twice.  For a generator that the dual D keeps the
+        # sweep visits only one v of each orbit {+-v, +-Dv}, and on this box
+        # those never meet a plane with both signs of u, so 1,1,1,0 and
+        # 0,1,0,0, which D moves, are in the list
+        calls, build = [], cli.wall_plane
+
+        def recorder(t, w0, u):
+            calls.append((t, w0, plane_key(MukaiVector(*w0), MukaiVector(*u))))
+            return build(t, w0, u)
+
+        monkeypatch.setattr(cli, "wall_plane", recorder)
+        for t in range(1, 8):
+            code, _, err = run(
+                capsys, "atlas", "--type", str(t), "--bounds", "3,2,2,3",
+                "--w", "0,0,0,1", "--w", "1,0,0,0", "--w", "1,1,1,0", "--w", "0,1,0,0",
+            )
+            assert (code, err) == (0, "")
+        assert calls
+        assert len(set(calls)) == len(calls)
+
     @pytest.mark.parametrize(
         "t, bounds, least, shared",
         [pytest.param(t, "2,1,1,2", 101, 0, id=str(t)) for t in range(1, 8)]

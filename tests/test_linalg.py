@@ -8,14 +8,13 @@ their Hermite normal forms (`hermite_rows`), since the library returns a
 basis that starts at v / content(v) rather than a canonical one.
 """
 
-from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given
 import hypothesis.strategies as st
 
-from bielliptic.linalg import ext_gcd, saturation_basis, unimodular_completion
+from bielliptic.linalg import ext_gcd, saturation_basis, unit_dual
 
 try:
     import sympy
@@ -115,24 +114,7 @@ class TestExtGcd:
             assert a % g == 0 and b % g == 0
 
 
-def det(rows):
-    """Determinant by Gaussian elimination over Q."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    n, d = len(m), Fraction(1)
-    for i in range(n):
-        p = next((k for k in range(i, n) if m[k][i]), None)
-        if p is None:
-            return 0
-        if p != i:
-            m[i], m[p], d = m[p], m[i], -d
-        d *= m[i][i]
-        for k in range(i + 1, n):
-            f = m[k][i] / m[i][i]
-            m[k] = [a - f * b for a, b in zip(m[k], m[i])]
-    return d
-
-
-class TestUnimodularCompletion:
+class TestUnitDual:
     @given(
         st.lists(
             st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30)), min_size=2, max_size=5
@@ -144,13 +126,14 @@ class TestUnimodularCompletion:
     @example([0, 0, 0, 1], 2)  # the point class twice, as `atlas --w 0,0,0,2`
     @example([0, -1, 1, 0], 3)
     @example([0, 0, -7, 0], 1)
-    def test_unimodular_and_maps_w0_to_e1(self, w0, c):
+    def test_pairs_to_one_with_the_primitive_part(self, w0, c):
+        # the atlas sweep takes y = unit_dual(w / content(w)) for a generator w
         assume(any(w0))
-        w0 = [x // gcd(*w0) for x in w0]
-        cols = unimodular_completion(tuple(c * x for x in w0))
-        n = len(w0)
-        assert abs(det([[col[i] for col in cols] for i in range(n)])) == 1
-        assert [sum(x * u for x, u in zip(w0, col)) for col in cols] == [1] + [0] * (n - 1)
+        w = [c * x for x in w0]
+        p = [x // gcd(*w) for x in w]
+        y = unit_dual(p)
+        assert len(y) == len(p)
+        assert sum(a * b for a, b in zip(y, p)) == 1
 
 
 class TestSaturationBasis:

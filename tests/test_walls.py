@@ -20,7 +20,7 @@ from bielliptic.lattice import (
     plane_key,
     square,
 )
-from bielliptic.linalg import ext_gcd, unimodular_completion
+from bielliptic.linalg import ext_gcd, unit_dual
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import (
     ORD3_B_MOVE,
@@ -731,19 +731,19 @@ class TestShiftSymmetry:
 
 def sweep_plane(t, v, w):
     """The wall lattice of (v, w) as the atlas sweep builds it, or None if
-    (v, w) is not a wall: v . U = (alpha, beta) for U the unimodular
-    completion of w, g = gcd(beta) with the sign of beta's first nonzero
-    entry, and the plane has the basis w0 = w / content(w),
-    u = (v - alpha*w0) / g, in which v = (alpha, g)."""
+    (v, w) is not a wall: for w0 = w / content(w), y = unit_dual(w0) and
+    alpha = y.v, g = content(v - alpha*w0) with the sign of its first
+    nonzero entry, and the plane has the basis w0, u = (v - alpha*w0) / g,
+    in which v = (alpha, g)."""
     vt, w0 = v.as_tuple(), w.primitive_part()[1].as_tuple()
-    cols = unimodular_completion(w.as_tuple())
-    alpha, *beta = (sum(x * y for x, y in zip(vt, col)) for col in cols)
-    g = gcd(*beta)
+    alpha = sum(x * y for x, y in zip(vt, unit_dual(w0)))
+    rest = [x - alpha * y for x, y in zip(vt, w0)]
+    g = gcd(*rest)
     if g == 0:
         return None
-    if next(b for b in beta if b) < 0:
+    if next(x for x in rest if x) < 0:
         g = -g
-    u = tuple((x - alpha * y) // g for x, y in zip(vt, w0))
+    u = tuple(x // g for x in rest)
     gram, rays = wall_plane(t, w0, u)
     if rays is None:
         return None
