@@ -30,7 +30,10 @@ MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
 MAX_ATLAS_SQUARE = 256  # largest v^2 in that box; a wall's weight walk is at worst linear in it
 MAX_ATLAS_GENERATORS = 8  # `atlas --w` flags; each one is a sweep of the box
 MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
-MAX_WALL_SQUARE = 300_000  # v^2 of `wall classify --v`; both walks are at worst linear in it
+# v^2 of `wall classify --v`: the witness walk is linear in it, and so is the weight
+# walk when the best weight lies far below v^2/2; a wall with no positive class up
+# to v^2/2 reads no line
+MAX_WALL_SQUARE = 300_000
 MAX_REDUCE_RANK = 1_000_000  # rank of `reduce --vector`; a reduction takes about r steps
 
 

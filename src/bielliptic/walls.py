@@ -42,18 +42,46 @@ _CONTRACTION_LABELS = frozenset(
 )
 
 
-@dataclass(frozen=True)
 class HyperbolicPair:
     """Saturated rank-2 sublattice of signature (1,-1) containing v: a basis
     of (r, a, b, s) int tuples, wall_plane's (gram, rays) of it, and v's
-    coordinates, v = vxy[0] * basis[0] + vxy[1] * basis[1]."""
+    coordinates, v = vxy[0] * basis[0] + vxy[1] * basis[1].  Immutable by
+    convention: nothing assigns to a field after construction."""
 
-    surface: int
-    v: MukaiVector
-    basis: tuple[tuple[int, ...], tuple[int, ...]]
-    gram: tuple[tuple[int, int], tuple[int, int]]
-    rays: tuple[tuple[int, int, int], ...]
-    vxy: tuple[int, int]
+    __slots__ = ("surface", "v", "basis", "gram", "rays", "vxy")
+
+    def __init__(
+        self,
+        surface: int,
+        v: MukaiVector,
+        basis: tuple[tuple[int, ...], tuple[int, ...]],
+        gram: tuple[tuple[int, int], tuple[int, int]],
+        rays: tuple[tuple[int, int, int], ...],
+        vxy: tuple[int, int],
+    ):
+        self.surface = surface
+        self.v = v
+        self.basis = basis
+        self.gram = gram
+        self.rays = rays
+        self.vxy = vxy
+
+    def _fields(self) -> tuple:
+        return (self.surface, self.v, self.basis, self.gram, self.rays, self.vxy)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"HyperbolicPair(surface={self.surface!r}, v={self.v!r}, basis={self.basis!r}, "
+            f"gram={self.gram!r}, rays={self.rays!r}, vxy={self.vxy!r})"
+        )
 
     def det(self) -> int:
         (g11, g12), (_, g22) = self.gram
@@ -104,11 +132,12 @@ def wall_plane(t: int, e1: tuple, e2: tuple):
 def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
     """Saturation of span{v, w} with its wall_plane data; must be hyperbolic."""
     surface_invariants(t)
-    rows = saturation_basis([list(v.as_tuple()), list(w.as_tuple())])
+    rows = saturation_basis([v.as_tuple(), w.as_tuple()])
     if len(rows) < 2:
         raise PreconditionError(f"{v.text()} and {w.text()} are collinear")
-    if square(v) <= 0:
-        raise PreconditionError(f"need v^2 > 0, got v^2 = {square(v)}")
+    v2 = square(v)
+    if v2 <= 0:
+        raise PreconditionError(f"need v^2 > 0, got v^2 = {v2}")
     basis = (tuple(rows[0]), tuple(rows[1]))
     # saturation_basis starts with v / content(v)
     pair = HyperbolicPair(t, v, basis, *wall_plane(t, *basis), (v.content(), 0))
@@ -130,13 +159,27 @@ def isotropic_rays(H: HyperbolicPair) -> list[tuple[MukaiVector, int, int]]:
     return out
 
 
-def _positive_lines(H: HyperbolicPair):
-    """(g, e, n, t_range): with <v, (x, y)> = cA*x + cB*y and g = gcd(cA, cB),
-    only the lines <v, p> = j*g hold lattice points, and those with
-    q(p) >= 0 on the line j*g are j*e + t*n for t in t_range(j).  Here
-    cA*e_x + cB*e_y = g (extended gcd) and n = (cB, -cA)/g spans v's
+def _positive_lines(H: HyperbolicPair, pairing_cap: int):
+    """(g, e, n, t_range, first), or None when no line <v, p> <= pairing_cap
+    holds a class p with q(p) >= 0.  With <v, (x, y)> = cA*x + cB*y and
+    g = gcd(cA, cB), only the lines <v, p> = j*g hold lattice points, and
+    those with q(p) >= 0 on the line j*g are j*e + t*n for t in t_range(j).
+    Here cA*e_x + cB*e_y = g (extended gcd) and n = (cB, -cA)/g spans v's
     orthogonal complement, so q(n) < 0: q(j*e + t*n) is a concave
     quadratic in t, whose interval of nonnegative values isqrt gives exactly.
+
+    first is the least j whose line holds such a class.  As
+    q(j*e + t*n) = A t^2 + 2B tj + C j^2 (A = q(n) < 0, B = <e, n>,
+    C = q(e)), it is the least denominator of a fraction t/j in the interval
+    I between the roots of A x^2 + 2B x + C.  That is 1 if I holds an
+    integer; else I lies in (f, f + 1), and x = f + 1/y maps it onto the
+    interval of the concave form (A f^2 + 2B f + C, A f + B, A), of the same
+    discriminant, taking t/j to j/(t - f*j).  The simplest fraction of a
+    positive interval has both the least numerator and the least
+    denominator, so the descent recurses, carrying the denominators (c, d)
+    of the last two convergents, and first = c*m + d for the integer m of
+    the interval where it stops, after O(log) steps (README, "The wall
+    classifier").
     """
     (g11, g12), (_, g22) = H.gram
     vx, vy = H.vxy
@@ -150,19 +193,33 @@ def _positive_lines(H: HyperbolicPair):
     # that is -det(gram) det(e, n)^2, and det(e, n) = -1
     en = g11 * ex * nx + g12 * (ex * ny + ey * nx) + g22 * ey * ny
     D = g12 * g12 - g11 * g22
+    s = isqrt(D)
+    # m is the least integer >= the lower root (B - sqrt D) / -A
+    A, B, C = -neg_n2, en, g11 * ex * ex + 2 * g12 * ex * ey + g22 * ey * ey
+    c, d = 0, 1
+    while (m := -((s - B) // -A)) * -A > B + s:
+        f = m - 1
+        A, B, C = A * f * f + 2 * B * f + C, A * f + B, A
+        c, d = c * f + d, c
+    first = c * m + d
+    if first * g > pairing_cap:
+        return None
 
     def t_range(j: int) -> range:
         b, s = j * en, isqrt(j * j * D)
         return range(-((s - b) // neg_n2), (b + s) // neg_n2 + 1)
 
-    return g, (ex, ey), (nx, ny), t_range
+    return g, (ex, ey), (nx, ny), t_range, first
 
 
 def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
     """The p with q(p) >= 0 and 1 <= <v, p> <= pairing_cap, sorted by (x, y)."""
-    g, (ex, ey), (nx, ny), t_range = _positive_lines(H)
+    lines = _positive_lines(H, pairing_cap)
+    if lines is None:
+        return []
+    g, (ex, ey), (nx, ny), t_range, first = lines
     return sorted(
-        (j * ex + t * nx, j * ey + t * ny) for j in range(1, pairing_cap // g + 1) for t in t_range(j)
+        (j * ex + t * nx, j * ey + t * ny) for j in range(first, pairing_cap // g + 1) for t in t_range(j)
     )
 
 
@@ -259,6 +316,9 @@ def _weight_walk(H: HyperbolicPair) -> int | None:
     max(floor(k^2 / v^2), 1), which does not grow on k < v^2/2, no line
     from k to v^2/2 - 1 beats it, and the walk skips to the last line
     k = v^2/2.  That one it always walks: there both parts can be isotropic.
+    The walk starts on the first line that holds a positive class; when
+    that lies past v^2/2 the list is empty, since the smallest of the
+    parts' pairings, which sum to v^2, is at most v^2/2.
     """
     data = surface_invariants(H.surface)
     ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
@@ -267,13 +327,16 @@ def _weight_walk(H: HyperbolicPair) -> int | None:
     vx, vy = H.vxy
     v2 = square(H.v)
     half = v2 // 2
-    g, (ex, ey), (nx, ny), t_range = _positive_lines(H)
+    lines = _positive_lines(H, half)
+    if lines is None:  # no positive class on the lines <v, p> <= v^2/2
+        return None
+    g, (ex, ey), (nx, ny), t_range, j = lines
 
     def w_iso(x: int, y: int) -> int:  # w(p) of an isotropic p = (x, y)
         l = gcd(x * r1 + y * r2, x * a1 + y * a2, mb * (x * b1 + y * b2), ordk * (x * s1 + y * s2))
         return l // ordk
 
-    most, j, last = -1, 1, half // g
+    most, last = -1, half // g
     while j <= last:
         k = j * g
         if most >= 0 and k < half and half - k + max(k * k // v2, 1) <= most:
@@ -331,11 +394,12 @@ def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] 
     return tuple(MukaiVector(*rabs[c]) for c in first)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class WallClassification:
     """`found` maps each label to its witnesses, or to None for the
     Flopping / FakeWall witness, which `witnesses` walks for when first
-    read; atlas reads only the labels and the bound, and never pays for it."""
+    read; atlas reads only the labels and the bound, and never pays for it.
+    Immutable by convention: nothing assigns to a field after construction."""
 
     H: HyperbolicPair
     max_parts: int
@@ -382,39 +446,39 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
-    lv = l_invariant_any(t, v)
     info = isotropic_rays(H)  # (u, <v, u>, l(u))
-
-    tss1 = tuple(u for u, q, l in info if q == 1 and l == ordk)
-    tss2 = tuple(
-        u for u, q, l in info if v2 == 4 and q == 2 and l == ordk == 2 == lv
-    )
-    tss_witness = (tss1 + tss2)[0] if tss1 or tss2 else None
-
+    tss_witness = None
     witnesses: dict[str, tuple[MukaiVector, ...] | None] = {}
-
-    def add(label: str, found: tuple[MukaiVector, ...]):
-        if found:
-            witnesses[label] = found
-
-    if v2 >= 4:
-        add(HILBERT_CHOW, tss1)
-    if v2 > 4 or (v2 == 4 and ordk in (4, 6)):
-        add(LGU, tuple(u for u, q, l in info if q == 2 and l == ordk))
-    if v2 == 4 and ordk == 2 and lv == 1:
-        add(LGU_ORD2, tuple(u for u, q, l in info if q == 2 and l == 2))
-    if v2 == 6 and ordk == 2:
-        add(
-            ORD2_EXCEPTIONAL,
-            tuple(
-                u
-                for u, q, l in info
-                if q == 3 and l == 2 and all(c % 3 == 0 for c in (v - u).as_tuple())
-            ),
+    if info:  # every clause below reads a ray
+        lv = l_invariant_any(t, v)
+        tss1 = tuple(u for u, q, l in info if q == 1 and l == ordk)
+        tss2 = tuple(
+            u for u, q, l in info if v2 == 4 and q == 2 and l == ordk == 2 == lv
         )
-    if v2 == 6 and ordk == 3:
-        add(ORD3_EXCEPTIONAL, tuple(u for u, q, l in info if q == 3 and l == 3))
-    add(P1_FIBRATION, tss2)
+        tss_witness = (tss1 + tss2)[0] if tss1 or tss2 else None
+
+        def add(label: str, found: tuple[MukaiVector, ...]):
+            if found:
+                witnesses[label] = found
+
+        if v2 >= 4:
+            add(HILBERT_CHOW, tss1)
+        if v2 > 4 or (v2 == 4 and ordk in (4, 6)):
+            add(LGU, tuple(u for u, q, l in info if q == 2 and l == ordk))
+        if v2 == 4 and ordk == 2 and lv == 1:
+            add(LGU_ORD2, tuple(u for u, q, l in info if q == 2 and l == 2))
+        if v2 == 6 and ordk == 2:
+            add(
+                ORD2_EXCEPTIONAL,
+                tuple(
+                    u
+                    for u, q, l in info
+                    if q == 3 and l == 2 and all(c % 3 == 0 for c in (v - u).as_tuple())
+                ),
+            )
+        if v2 == 6 and ordk == 3:
+            add(ORD3_EXCEPTIONAL, tuple(u for u, q, l in info if q == 3 and l == 3))
+        add(P1_FIBRATION, tss2)
 
     codim = _weight_walk(H)  # None when v has no decomposition
     if v.is_primitive():  # None: the first decomposition, walked for when it is read

@@ -171,6 +171,22 @@ class TestSaturation:
         assert other.from_coords(*other.vxy) == other.v
         assert other != H
 
+    def test_flat_value_fields_hash_and_repr(self):
+        H = H_of(1, (1, 0, 0, -2), (0, 0, 0, 1))
+        fields = (H.surface, H.v, H.basis, H.gram, H.rays, H.vxy)
+        same = HyperbolicPair(*fields)
+        assert same == H and hash(same) == hash(H) == hash(fields)
+        assert H != fields and H.__eq__(fields) is NotImplemented
+        assert repr(H) == (
+            "HyperbolicPair(surface=1, v=MukaiVector(1, 0, 0, -2), basis=((1, 0, 0, -2), "
+            "(0, 0, 0, 1)), gram=((4, -1), (-1, 0)), rays=((1, 2, 1), (0, 1, 2)), vxy=(1, 0))"
+        )
+        assert not hasattr(H, "__dict__")
+        # one lattice in two bases: unequal values, equal classifications
+        other = change_basis(H, ((1, 1), (0, 1)))
+        assert other.v == H.v and other != H
+        assert classify_wall(other) == classify_wall(H)
+
     def test_collinear_rejected(self):
         v = MukaiVector.of(1, 0, 0, -1)
         zero = MukaiVector.of(0, 0, 0, 0)
@@ -342,6 +358,30 @@ class TestPositiveClasses:
         assume(v2 <= 100)
         for c in (v2 - 1, min(cap, v2)):
             assert _positive_classes(H, c) == box_scan_positive_classes(H, c)
+
+
+class TestFirstLine:
+    """_positive_lines finds the first line that holds a positive class by a
+    continued-fraction descent; here it is checked against a line scan."""
+
+    @given(wide_instances)
+    @example((1, (1, -3, 0, -2), (0, 1, -1, 1)))  # g = 2, first line 2
+    @example((1, (1, -2, -2, 3), (0, 1, -1, 1)))  # a negative lower root, first line 2
+    # -det(gram) = 9, a perfect square: the first line 3 holds an isotropic
+    # class on a boundary ray
+    @example((1, (1, -3, -1, 1), (0, 0, 1, 0)))
+    @example((1, (1, -3, -3, -4), (0, 1, -1, 1)))  # first line 23 of 26
+    @settings(max_examples=150, deadline=None)
+    def test_first_line_is_the_first_nonempty_t_range(self, raw):
+        inst = build_instance(raw)
+        assume(inst is not None)
+        _, H = inst
+        v2 = square(H.v)
+        # v itself lies on the line v^2, so some line up to v^2 / g holds a class
+        g, _, _, t_range, first = walls_module._positive_lines(H, v2)
+        assert first == next(j for j in range(1, v2 // g + 1) if len(t_range(j)))
+        assert walls_module._positive_lines(H, first * g - 1) is None
+        assert walls_module._positive_lines(H, first * g)[-1] == first
 
 
 class TestDecompositions:
@@ -525,6 +565,31 @@ class TestDecompositionSearch:
         assert code == 0 and elapsed < 2.0
         assert payload["labels"] == [HILBERT_CHOW]
         assert payload["codim_bound"] == 0
+
+    def test_no_wall_at_the_cli_cap_reads_no_empty_line(self, monkeypatch, capsys):
+        # g = 1 and no line up to v^2/2 = 149,998 holds a positive class: a
+        # walk from line 1 reads them all, the descent finds that at once
+        reads, lines = [], walls_module._positive_lines
+
+        def counted(H, pairing_cap):
+            found = lines(H, pairing_cap)
+            if found is None:
+                return None
+            *head, t_range, first = found
+
+            def t_range_counted(j):
+                reads.append(j)
+                return t_range(j)
+
+            return (*head, t_range_counted, first)
+
+        monkeypatch.setattr(walls_module, "_positive_lines", counted)
+        code = run_command(["wall", "classify", "--type", "1", "--v=1,0,0,-149998",
+                            "--w", "0,1,-1,1", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(reads) <= 2
+        assert payload["labels"] == [NO_WALL]
+        assert payload["codim_bound"] is None
 
 
 class TestOnDemandWitness:
