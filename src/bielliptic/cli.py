@@ -7,7 +7,6 @@ errors, 3 for violated preconditions (named on stderr), 0 on success.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -21,7 +20,7 @@ from bielliptic.oracle import enumerate_equality_cases
 from bielliptic.stability import locus_samples, wall_in_slice
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
-from bielliptic.walls import HyperbolicPair, classify_wall, saturate_lattice, wall_key, wall_plane
+from bielliptic.walls import classify_key, classify_wall, saturate_lattice, wall_key, wall_plane
 
 SCHEMA = 1
 # Input budgets, checked before any work; a breach exits 3.
@@ -217,20 +216,22 @@ def _cmd_oracle_cases(args) -> tuple[dict, list[str]]:
     ]
 
 
-def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[tuple]:
-    """The unsorted CSV rows of every wall (v, w) with v in the box."""
+def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> list[str]:
+    """The unsorted CSV lines of every wall (v, w) with v in the box, each
+    as csv.writer's excel dialect writes it: t,"v","w",tss,labels,codim."""
     # A row is a function of walls.wall_key: classify each key once, on the
-    # plane Z*w0 + Z*u the key is read off, for y.w0 = 1 and u the primitive
-    # part of v - (y.v) w0, first nonzero entry positive, so v = (y.v, g);
-    # and each orbit of v under {+-1, +-D} has one row, D the derived dual,
-    # so only its representative is classified (README, "The atlas sweep").
+    # key's own frame (walls.classify_key), for the plane Z*w0 + Z*u the key
+    # is read off, with y.w0 = 1 and u the primitive part of v - (y.v) w0,
+    # first nonzero entry positive, so v = (y.v, g); and each orbit of v
+    # under {+-1, +-D} has one row, D the derived dual, so only its
+    # representative is classified (README, "The atlas sweep").
     data = surface_invariants(t)
     ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
-    sweeps = [  # w's text, whether D keeps it, w0 = w / content(w), y, w's planes
-        (w.text(), w.a == w.b == 0 or w.r == w.s == 0,
+    sweeps = [  # w's text and a quote, whether D keeps it, w0 = w / content(w), y, w's planes
+        (f'{w.text()}",', w.a == w.b == 0 or w.r == w.s == 0,
          w0 := w.primitive_part()[1].as_tuple(), unit_dual(w0), {}) for w in generators
     ]
-    tails: dict[tuple, tuple] = {}
+    tails: dict[tuple, str] = {}  # key -> tss,labels,codim and the line end
     rb, ab, bb, sb = bounds
     rows = []
     for r in range(rb + 1):
@@ -240,7 +241,7 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                     if (r, a, b, s) <= (0, 0, 0, 0) or a * b <= r * s:  # v^2 = 2(ab - rs)
                         continue
                     lv = gcd(r, a, mb * b, ordk * s)
-                    pair = (f"{r},{a},{b},{s}", f"{-r},{-a},{-b},{-s}")
+                    pair = (f'{t},"{r},{a},{b},{s}","', f'{t},"{-r},{-a},{-b},{-s}","')
                     dual = (r, -a, -b, s) if r else (0, a, b, -s)
                     if dual > (r, a, b, s):
                         orbit = None
@@ -248,7 +249,7 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                         orbit = pair
                     else:
                         dr, da, db, ds = dual
-                        orbit = (*pair, f"{dr},{da},{db},{ds}", f"{-dr},{-da},{-db},{-ds}")
+                        orbit = (*pair, f'{t},"{dr},{da},{db},{ds}","', f'{t},"{-dr},{-da},{-db},{-ds}","')
                     for wt, w_kept, w0, (y0, y1, y2, y3), planes in sweeps:
                         names = orbit if w_kept else pair
                         if names is None:
@@ -269,15 +270,14 @@ def _atlas_rows(t: int, bounds: list[int], generators: list[MukaiVector]) -> lis
                         key = wall_key(gram, (alpha, g), lv, rays)
                         tail = tails.get(key)
                         if tail is None:
-                            v = MukaiVector(r, a, b, s)
-                            c = classify_wall(HyperbolicPair(t, v, (w0, u), gram, rays, (alpha, g)))
+                            tss, labels, codim = classify_key(t, key)
                             tail = tails[key] = (
-                                "true" if c.totally_semistable else "false",
-                                ";".join(sorted(c.labels)),
-                                "inf" if c.codim_bound is None else str(c.codim_bound),
+                                f"{'true' if tss else 'false'},{';'.join(sorted(labels))},"
+                                f"{'inf' if codim is None else codim}\r\n"
                             )
+                        line = wt + tail
                         for name in names:
-                            rows.append((t, name, wt, *tail))
+                            rows.append(name + line)
     return rows
 
 
@@ -312,10 +312,11 @@ def _cmd_atlas(args) -> None:
         raise ValueError(f"--out {args.out}: {e.strerror}") from None
     try:
         rows = _atlas_rows(t, bounds, generators)
+        # (v, w) order: all lines start with t," and a name's closing " sorts
+        # below the digits, "," and "-", so a name sorts before any it begins
         rows.sort()
-        writer = csv.writer(out)
-        writer.writerow(["type", "v", "w", "tss", "labels", "codim_bound"])
-        writer.writerows(rows)
+        out.write("type,v,w,tss,labels,codim_bound\r\n")
+        out.writelines(rows)
     finally:
         if args.out:
             out.close()

@@ -6,7 +6,8 @@ evaluates the totally-semistable tests and each contraction clause against
 the rays' pairing and divisibility invariants, and reports the minimum of
 the filtration-stratum codimension bound over v's effective decompositions
 in the positive cone by a max-weight walk that lists none; the first one,
-the Flopping / FakeWall witness, is walked for only when it is read.
+the Flopping / FakeWall witness, is walked for only when it is read.  Both
+run on plain ints (_wall_row), for classify_wall and the atlas's classify_key.
 """
 
 from dataclasses import dataclass
@@ -159,7 +160,7 @@ def isotropic_rays(H: HyperbolicPair) -> list[tuple[MukaiVector, int, int]]:
     return out
 
 
-def _positive_lines(H: HyperbolicPair, pairing_cap: int):
+def _positive_lines(gram, vxy: tuple[int, int], pairing_cap: int):
     """(g, e, n, t_range, first), or None when no line <v, p> <= pairing_cap
     holds a class p with q(p) >= 0.  With <v, (x, y)> = cA*x + cB*y and
     g = gcd(cA, cB), only the lines <v, p> = j*g hold lattice points, and
@@ -181,8 +182,8 @@ def _positive_lines(H: HyperbolicPair, pairing_cap: int):
     the interval where it stops, after O(log) steps (README, "The wall
     classifier").
     """
-    (g11, g12), (_, g22) = H.gram
-    vx, vy = H.vxy
+    (g11, g12), (_, g22) = gram
+    vx, vy = vxy
     cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy
     g, ex, ey = ext_gcd(cA, cB)
     nx, ny = cB // g, -cA // g
@@ -212,9 +213,9 @@ def _positive_lines(H: HyperbolicPair, pairing_cap: int):
     return g, (ex, ey), (nx, ny), t_range, first
 
 
-def _positive_classes(H: HyperbolicPair, pairing_cap: int) -> list[tuple[int, int]]:
+def _positive_classes(gram, vxy: tuple[int, int], pairing_cap: int) -> list[tuple[int, int]]:
     """The p with q(p) >= 0 and 1 <= <v, p> <= pairing_cap, sorted by (x, y)."""
-    lines = _positive_lines(H, pairing_cap)
+    lines = _positive_lines(gram, vxy, pairing_cap)
     if lines is None:
         return []
     g, (ex, ey), (nx, ny), t_range, first = lines
@@ -240,7 +241,7 @@ def enumerate_decompositions(
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
     vxy = H.vxy
     v2 = H.q(vxy)
-    candidates = _positive_classes(H, v2 - 1)
+    candidates = _positive_classes(H.gram, vxy, v2 - 1)
     index = {p: idx for idx, p in enumerate(candidates)}
     pairings = [H.pair(vxy, p) for p in candidates]
     results: list[tuple[tuple[int, int, int, int], ...]] = []
@@ -292,9 +293,9 @@ def hn_codim_bound(t: int, parts: list[MukaiVector]) -> int:
     return total
 
 
-def _weight_walk(H: HyperbolicPair) -> int | None:
-    """The minimum of hn_codim_bound over enumerate_decompositions(H, m),
-    the same for every m >= 2, or None when that list is empty.
+def _weight_walk(ordk: int, gram, vxy: tuple[int, int], v2: int, rays) -> int | None:
+    """The minimum of hn_codim_bound over enumerate_decompositions(H, m), the
+    same for every m >= 2, or None when that list is empty (H as _wall_row's).
 
     Since sum_{i<j} <p_i, p_j> = (v^2 - sum p_i^2) / 2, a decomposition's
     bound is v^2/2 - sum w(p_i), with w(p) = p^2/2 for p^2 > 0 and
@@ -319,22 +320,22 @@ def _weight_walk(H: HyperbolicPair) -> int | None:
     The walk starts on the first line that holds a positive class; when
     that lies past v^2/2 the list is empty, since the smallest of the
     parts' pairings, which sum to v^2, is at most v^2/2.
+
+    An isotropic p = (x, y) is b*u for a ray u and b = gcd(x, y), its
+    content as H is saturated, so l(p) = b*l(u) comes off the rays.
     """
-    data = surface_invariants(H.surface)
-    ordk, mb = data.ord_k, data.ord_k // data.lam  # l(p) = gcd(r, a, mb*b, ordk*s)
-    (g11, g12), (_, g22) = H.gram
-    (r1, a1, b1, s1), (r2, a2, b2, s2) = H.basis
-    vx, vy = H.vxy
-    v2 = square(H.v)
+    (g11, g12), (_, g22) = gram
+    vx, vy = vxy
     half = v2 // 2
-    lines = _positive_lines(H, half)
+    lines = _positive_lines(gram, vxy, half)
     if lines is None:  # no positive class on the lines <v, p> <= v^2/2
         return None
     g, (ex, ey), (nx, ny), t_range, j = lines
+    l_of = {(sign * x, sign * y): l for x, y, l, *_ in rays for sign in (1, -1)}
 
     def w_iso(x: int, y: int) -> int:  # w(p) of an isotropic p = (x, y)
-        l = gcd(x * r1 + y * r2, x * a1 + y * a2, mb * (x * b1 + y * b2), ordk * (x * s1 + y * s2))
-        return l // ordk
+        b = gcd(x, y)
+        return b * l_of[x // b, y // b] // ordk
 
     most, last = -1, half // g
     while j <= last:
@@ -371,7 +372,7 @@ def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] 
     vx, vy = H.vxy
     # (r, a, b, s) of each member of C, keyed by coordinates
     rabs: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for x, y in _positive_classes(H, square(H.v) // 2):
+    for x, y in _positive_classes(H.gram, H.vxy, square(H.v) // 2):
         pr, pa, pb, ps = x * r1 + y * r2, x * a1 + y * a2, x * b1 + y * b2, x * s1 + y * s2
         rabs[(x, y)] = (pr, pa, pb, ps)
         rabs[(vx - x, vy - y)] = (vr - pr, va - pa, vb - pb, vs - ps)
@@ -398,7 +399,7 @@ def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] 
 class WallClassification:
     """`found` maps each label to its witnesses, or to None for the
     Flopping / FakeWall witness, which `witnesses` walks for when first
-    read; atlas reads only the labels and the bound, and never pays for it.
+    read; a caller that reads only the labels and the bound never pays for it.
     Immutable by convention: nothing assigns to a field after construction."""
 
     H: HyperbolicPair
@@ -429,66 +430,92 @@ class WallClassification:
         return all(getattr(self, f) == getattr(other, f) for f in fields)
 
 
-def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
-    """Evaluate every clause of the wall-type classification against H.
+def _ray_clauses(ordk: int, v2: int, lv: int, q: int, l: int, bit: bool) -> tuple[int, list[str]]:
+    """(tss, labels) of a primitive isotropic u with q = <v, u> > 0, l = l(u)
+    and bit whether 3 | v - u: tss is 1 or 2 when u passes the first or the
+    second totally-semistable test, else 0; labels are the clauses u fires."""
+    if q > 3:  # every clause needs <v, u> <= 3
+        return 0, []
+    tss = 1 if q == 1 and l == ordk else 2 if v2 == 4 and q == 2 and l == ordk == 2 == lv else 0
+    clauses = [
+        (HILBERT_CHOW, tss == 1 and v2 >= 4),
+        (LGU, q == 2 and l == ordk and (v2 > 4 or (v2 == 4 and ordk in (4, 6)))),
+        (LGU_ORD2, q == 2 and l == 2 and v2 == 4 and ordk == 2 and lv == 1),
+        (ORD2_EXCEPTIONAL, q == 3 and l == 2 and v2 == 6 and ordk == 2 and bit),
+        (ORD3_EXCEPTIONAL, q == 3 and l == 3 and v2 == 6 and ordk == 3),
+        (P1_FIBRATION, tss == 2),
+    ]
+    return tss, [label for label, fires in clauses if fires]
+
+
+def _wall_row(ordk: int, v2: int, lv: int, primitive: bool, gram, vxy, rays) -> tuple:
+    """(totally semistable, labels, codimension bound) of the wall of v in a
+    saturated hyperbolic lattice H, on plain ints: ordk = ord K, v2 = v^2,
+    lv = l(v), whether v is primitive, H's Gram matrix and v's coordinates
+    in some basis, and (x, y, l(u), ...) for each primitive isotropic u of
+    either sign.  <v, u> > 0 orients u, and 3 | v - u reads off
+    coordinates, as H is saturated.
 
     Multiple labels may coexist (reducible moduli can have components with
     different behaviour); the flopping / fake / no-wall refinement applies
     to primitive v only and is replaced by IndeterminateNonPrimitive
     otherwise.
     """
+    (g11, g12), (_, g22) = gram
+    vx, vy = vxy
+    cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy  # <v, (x, y)> = cA*x + cB*y
+    tss, labels = False, set()
+    for x, y, l, *_ in rays:
+        q = cA * x + cB * y
+        if q < 0:
+            x, y, q = -x, -y, -q
+        kind, found = _ray_clauses(ordk, v2, lv, q, l, (vx - x) % 3 == (vy - y) % 3 == 0)
+        tss = tss or kind > 0
+        labels.update(found)
+    codim = _weight_walk(ordk, gram, vxy, v2, rays)  # None when v has no decomposition
+    if primitive:  # labels holds only contraction labels so far
+        if v2 >= 4 and codim is not None and not labels:
+            labels.add(FLOPPING)
+        if not labels:
+            labels.add(NO_WALL if codim is None else FAKE_WALL)
+    elif not labels:
+        labels.add(INDETERMINATE)
+    return tss, labels, codim
+
+
+def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
+    """The wall-type classification of H (_wall_row) with each label's witnesses."""
     t = H.surface
-    data = surface_invariants(t)
-    ordk = data.ord_k
+    ordk = surface_invariants(t).ord_k
     v = H.v
     v2 = square(v)
     if v2 <= 0:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
-    info = isotropic_rays(H)  # (u, <v, u>, l(u))
-    tss_witness = None
-    witnesses: dict[str, tuple[MukaiVector, ...] | None] = {}
-    if info:  # every clause below reads a ray
-        lv = l_invariant_any(t, v)
-        tss1 = tuple(u for u, q, l in info if q == 1 and l == ordk)
-        tss2 = tuple(
-            u for u, q, l in info if v2 == 4 and q == 2 and l == ordk == 2 == lv
-        )
-        tss_witness = (tss1 + tss2)[0] if tss1 or tss2 else None
+    lv = l_invariant_any(t, v) if H.rays else 0  # only the clauses on a ray read l(v)
+    tss, labels, codim = _wall_row(ordk, v2, lv, v.is_primitive(), H.gram, H.vxy, H.rays)
+    # the Flopping / FakeWall witness is None, walked for when it is read;
+    # the rays witness the other labels in the order of u
+    found = {label: None if label in (FLOPPING, FAKE_WALL) else () for label in labels}
+    first = {}  # the first u of each tss kind; the witness passes test 1, else test 2
+    if tss or not labels.isdisjoint(_CONTRACTION_LABELS):
+        for u, q, l in isotropic_rays(H):
+            bit = (v.r - u.r) % 3 == (v.a - u.a) % 3 == (v.b - u.b) % 3 == (v.s - u.s) % 3 == 0
+            kind, names = _ray_clauses(ordk, v2, lv, q, l, bit)
+            first.setdefault(kind, u)
+            for label in names:
+                found[label] += (u,)
+    return WallClassification(H, max_parts, first.get(1, first.get(2)), found, codim)
 
-        def add(label: str, found: tuple[MukaiVector, ...]):
-            if found:
-                witnesses[label] = found
 
-        if v2 >= 4:
-            add(HILBERT_CHOW, tss1)
-        if v2 > 4 or (v2 == 4 and ordk in (4, 6)):
-            add(LGU, tuple(u for u, q, l in info if q == 2 and l == ordk))
-        if v2 == 4 and ordk == 2 and lv == 1:
-            add(LGU_ORD2, tuple(u for u, q, l in info if q == 2 and l == 2))
-        if v2 == 6 and ordk == 2:
-            add(
-                ORD2_EXCEPTIONAL,
-                tuple(
-                    u
-                    for u, q, l in info
-                    if q == 3 and l == 2 and all(c % 3 == 0 for c in (v - u).as_tuple())
-                ),
-            )
-        if v2 == 6 and ordk == 3:
-            add(ORD3_EXCEPTIONAL, tuple(u for u, q, l in info if q == 3 and l == 3))
-        add(P1_FIBRATION, tss2)
-
-    codim = _weight_walk(H)  # None when v has no decomposition
-    if v.is_primitive():  # None: the first decomposition, walked for when it is read
-        if v2 >= 4 and codim is not None and not (witnesses.keys() & _CONTRACTION_LABELS):
-            witnesses[FLOPPING] = None
-        if not witnesses:
-            witnesses.update({NO_WALL: ()} if codim is None else {FAKE_WALL: None})
-    elif not witnesses:
-        witnesses[INDETERMINATE] = ()
-    return WallClassification(H, max_parts, tss_witness, witnesses, codim)
+def classify_key(t: int, key: tuple) -> tuple:
+    """classify_wall's (totally_semistable, labels, codim_bound) for the walls
+    with this wall_key, on its basis (v0, f): v = (c, 0), so v is primitive
+    iff c = 1, and f^2 = (D + B^2) / A, as D = A*f^2 - B^2 and A = v0^2 > 0."""
+    c, A, B, D, lv, rays = key
+    gram = ((A, B), (B, (D + B * B) // A))
+    return _wall_row(surface_invariants(t).ord_k, c * c * A, lv, c == 1, gram, (c, 0), rays)
 
 
 def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:
@@ -502,9 +529,10 @@ def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:
     A ray u with <v, u> > 0 gives its (X, Y) in (v0, f), l(u), and whether
     3 | v - u, i.e. c - X = Y = 0 mod 3 as H is saturated.  Proof: for one
     key, x*v0 + y*f -> x*v0' + y*f' is an isometry taking v to v' and b*u
-    to b*u' with l(b*u) = b*l(u) = l(b*u'), so it keeps all classify_wall
+    to b*u' with l(b*u) = b*l(u) = l(b*u'), so it keeps all _wall_row
     reads: v^2 = c^2*A, l(v), primitivity (c = 1), each ray's <v, u>, l(u)
-    and bit, and the search's weights q(p)/2 and l(p) // ord_k.
+    and bit, and the search's weights q(p)/2 and l(p) // ord_k.  So
+    classify_key runs _wall_row on the key alone.
     """
     (g11, g12), (_, g22) = gram
     c, p, q = ext_gcd(*vxy)

@@ -453,6 +453,28 @@ class TestAtlas:
         for row in rows:
             assert square(MukaiVector.parse(row["v"])) > 0
 
+    def test_lines_are_the_bytes_csv_writes(self, capsys):
+        # The sweep writes each row as a line of text.  csv must read it
+        # back and write the same bytes, and the rows must come in (v, w)
+        # order where one name begins another: the generators 0,0,0,1 and
+        # 0,0,0,10, and v = 1,0,0,-1 and 1,0,0,-10.  Negative entries, a
+        # generator with content 2, one that D moves and a repeated one
+        # are in the list
+        generators = ["0,0,0,1", "0,0,0,10", "0,2,-2,0", "1,-1,0,2", "0,0,0,1"]
+        argv = ["atlas", "--type", "1", "--bounds", "1,1,1,10"]
+        code, out, err = run(capsys, *argv, *(f for w in generators for f in ("--w", w)))
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        again = io.StringIO()
+        csv.writer(again).writerows(rows)
+        assert again.getvalue() == out
+        header, body = rows[0], rows[1:]
+        assert header == ["type", "v", "w", "tss", "labels", "codim_bound"]
+        assert body == sorted(body)
+        pairs = {(v, w) for _, v, w, *_ in body}
+        assert {("1,0,0,-1", "0,0,0,1"), ("1,0,0,-1", "0,0,0,10")} <= pairs
+        assert {("1,0,0,-10", "0,0,0,1"), ("-1,-1,-1,1", "0,2,-2,0"), ("-1,-1,-1,10", "0,2,-2,0")} <= pairs
+
     @pytest.mark.parametrize("t", range(1, 8))
     def test_golden_digests(self, capsys, t):
         with open(FIXTURES.parent / "bench" / "golden.json") as fh:

@@ -45,6 +45,7 @@ from bielliptic.walls import (
     _weight_walk,
     _witness_walk,
     approximate_isotropic_full_l,
+    classify_key,
     classify_wall,
     enumerate_decompositions,
     hn_codim_bound,
@@ -357,7 +358,7 @@ class TestPositiveClasses:
         v2 = square(H.v)
         assume(v2 <= 100)
         for c in (v2 - 1, min(cap, v2)):
-            assert _positive_classes(H, c) == box_scan_positive_classes(H, c)
+            assert _positive_classes(H.gram, H.vxy, c) == box_scan_positive_classes(H, c)
 
 
 class TestFirstLine:
@@ -378,10 +379,10 @@ class TestFirstLine:
         _, H = inst
         v2 = square(H.v)
         # v itself lies on the line v^2, so some line up to v^2 / g holds a class
-        g, _, _, t_range, first = walls_module._positive_lines(H, v2)
+        g, _, _, t_range, first = walls_module._positive_lines(H.gram, H.vxy, v2)
         assert first == next(j for j in range(1, v2 // g + 1) if len(t_range(j)))
-        assert walls_module._positive_lines(H, first * g - 1) is None
-        assert walls_module._positive_lines(H, first * g)[-1] == first
+        assert walls_module._positive_lines(H.gram, H.vxy, first * g - 1) is None
+        assert walls_module._positive_lines(H.gram, H.vxy, first * g)[-1] == first
 
 
 class TestDecompositions:
@@ -444,9 +445,14 @@ def reference_search(H, max_parts):
     return (decomps[0] if decomps else None), codim
 
 
+def weight_walk(H):
+    """_weight_walk on H's own data, with H's rays of either sign."""
+    return _weight_walk(surface_invariants(H.surface).ord_k, H.gram, H.vxy, square(H.v), H.rays)
+
+
 def assert_matches_reference(H, max_parts):
     first, codim = reference_search(H, max_parts)
-    assert _weight_walk(H) == codim
+    assert weight_walk(H) == codim
     assert _witness_walk(H, max_parts) == first
     c = classify_wall(H, max_parts)
     assert c.codim_bound == codim
@@ -500,8 +506,8 @@ class TestDecompositionSearch:
         # the search walks only the lines <v, p> <= v^2/2: the parts p with
         # q(v - p) >= 0 are those classes and v minus each of them
         vx, vy = H.vxy
-        C = {p for p in _positive_classes(H, v2 - 1) if H.q((vx - p[0], vy - p[1])) >= 0}
-        half = _positive_classes(H, v2 // 2)
+        C = {p for p in _positive_classes(H.gram, H.vxy, v2 - 1) if H.q((vx - p[0], vy - p[1])) >= 0}
+        half = _positive_classes(H.gram, H.vxy, v2 // 2)
         assert C == set(half) | {(vx - x, vy - y) for x, y in half}
 
     @given(raw_instances)
@@ -550,7 +556,7 @@ class TestDecompositionSearch:
     )
     def test_stopping_rule_cases(self, t, v, w, codim):
         H = H_of(t, v, w)
-        assert _weight_walk(H) == codim
+        assert weight_walk(H) == codim
         assert_matches_reference(H, 4)
 
     def test_hilbert_chow_at_the_cli_cap_is_fast(self, capsys):
@@ -571,8 +577,8 @@ class TestDecompositionSearch:
         # walk from line 1 reads them all, the descent finds that at once
         reads, lines = [], walls_module._positive_lines
 
-        def counted(H, pairing_cap):
-            found = lines(H, pairing_cap)
+        def counted(gram, vxy, pairing_cap):
+            found = lines(gram, vxy, pairing_cap)
             if found is None:
                 return None
             *head, t_range, first = found
@@ -854,6 +860,25 @@ class TestWallKey:
         assert classify_wall(H) == classify_wall(Hs)
         assert_plane_data(H)
         assert_plane_data(Hs)
+
+    @given(raw_instances)
+    # one wall for each rare label; the second has the first's rays without
+    # the mod-3 bit
+    @example((1, (3, 0, 0, -1), (0, 0, 0, 1)))  # Ord2ExceptionalDivisorial
+    @example((1, (3, 0, 0, -1), (0, -2, 0, -1)))  # Flopping
+    @example((5, (3, 0, 1, -1), (0, 0, 0, 1)))  # Ord3ExceptionalDivisorial
+    @example((2, (2, 1, 2, 0), (0, 0, 0, 1)))  # LGUOrd2Divisorial
+    @example((1, (2, -2, -2, 1), (0, 0, 0, 1)))  # P1Fibration
+    @settings(max_examples=300, deadline=None)
+    def test_key_row_matches_classify_wall(self, raw):
+        # the atlas classifies each key on the key's own frame, with no
+        # vector or lattice built (classify_key); that row must be the one
+        # classify_wall reads off the wall itself
+        inst = build_instance(raw)
+        assume(inst is not None)
+        t, H = inst
+        c = classify_wall(H)
+        assert classify_key(t, basis_key(H)) == (c.totally_semistable, c.labels, c.codim_bound)
 
     def test_mod_3_bit_separates_two_walls(self):
         # v^2 = 6 on ord_k = 2: both walls have a ray u with <v, u> = 3 and
