@@ -6,8 +6,11 @@ evaluates the totally-semistable tests and each contraction clause against
 the rays' pairing and divisibility invariants, and reports the minimum of
 the filtration-stratum codimension bound over v's effective decompositions
 in the positive cone by a max-weight walk that lists none; the first one,
-the Flopping / FakeWall witness, is walked for only when it is read.  Both
-run on plain ints (_wall_row), for classify_wall and the atlas's classify_key.
+the Flopping / FakeWall witness, is walked for only when it is read.
+classify_wall reads each ray of the lattice once, and the atlas's
+classify_key each ray of a wall_key once; both share the clauses
+(_ray_clauses), the walk on plain ints (_weight_walk) and the label of a
+wall no ray labels (_refined).
 """
 
 from dataclasses import dataclass
@@ -37,10 +40,6 @@ FLOPPING = "Flopping"
 FAKE_WALL = "FakeWall"
 NO_WALL = "NoWall"
 INDETERMINATE = "IndeterminateNonPrimitive"
-
-_CONTRACTION_LABELS = frozenset(
-    {HILBERT_CHOW, LGU, LGU_ORD2, ORD2_EXCEPTIONAL, ORD3_EXCEPTIONAL, P1_FIBRATION}
-)
 
 
 class HyperbolicPair:
@@ -151,7 +150,8 @@ def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
 
 def isotropic_rays(H: HyperbolicPair) -> list[tuple[MukaiVector, int, int]]:
     """(u, <v, u>, l(u)) for the 0 or 2 primitive isotropic classes u with
-    <v, u> > 0: H.rays oriented towards v, sorted by u."""
+    <v, u> > 0: H.rays oriented towards v, sorted by u, as classify_wall
+    reads them, each once."""
     out = []
     for x, y, l in H.rays:
         q = H.pair(H.vxy, (x, y))
@@ -295,7 +295,8 @@ def hn_codim_bound(t: int, parts: list[MukaiVector]) -> int:
 
 def _weight_walk(ordk: int, gram, vxy: tuple[int, int], v2: int, rays) -> int | None:
     """The minimum of hn_codim_bound over enumerate_decompositions(H, m), the
-    same for every m >= 2, or None when that list is empty (H as _wall_row's).
+    same for every m >= 2, or None when that list is empty: H in any basis,
+    v's coordinates vxy in it, and rays as wall_plane or wall_key gives them.
 
     Since sum_{i<j} <p_i, p_j> = (v^2 - sum p_i^2) / 2, a decomposition's
     bound is v^2/2 - sum w(p_i), with w(p) = p^2/2 for p^2 > 0 and
@@ -397,10 +398,10 @@ def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] 
 
 @dataclass(eq=False)
 class WallClassification:
-    """`found` maps each label to its witnesses, or to None for the
-    Flopping / FakeWall witness, which `witnesses` walks for when first
-    read; a caller that reads only the labels and the bound never pays for it.
-    Immutable by convention: nothing assigns to a field after construction."""
+    """`found` maps each label to its witnesses, the rays that fired it in
+    the order of u, or to None for the Flopping / FakeWall witness, which
+    `witnesses` walks for when first read; a caller that reads only the
+    labels and the bound never pays for it.  Immutable by convention."""
 
     H: HyperbolicPair
     max_parts: int
@@ -448,43 +449,19 @@ def _ray_clauses(ordk: int, v2: int, lv: int, q: int, l: int, bit: bool) -> tupl
     return tss, [label for label, fires in clauses if fires]
 
 
-def _wall_row(ordk: int, v2: int, lv: int, primitive: bool, gram, vxy, rays) -> tuple:
-    """(totally semistable, labels, codimension bound) of the wall of v in a
-    saturated hyperbolic lattice H, on plain ints: ordk = ord K, v2 = v^2,
-    lv = l(v), whether v is primitive, H's Gram matrix and v's coordinates
-    in some basis, and (x, y, l(u), ...) for each primitive isotropic u of
-    either sign.  <v, u> > 0 orients u, and 3 | v - u reads off
-    coordinates, as H is saturated.
-
-    Multiple labels may coexist (reducible moduli can have components with
-    different behaviour); the flopping / fake / no-wall refinement applies
-    to primitive v only and is replaced by IndeterminateNonPrimitive
-    otherwise.
-    """
-    (g11, g12), (_, g22) = gram
-    vx, vy = vxy
-    cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy  # <v, (x, y)> = cA*x + cB*y
-    tss, labels = False, set()
-    for x, y, l, *_ in rays:
-        q = cA * x + cB * y
-        if q < 0:
-            x, y, q = -x, -y, -q
-        kind, found = _ray_clauses(ordk, v2, lv, q, l, (vx - x) % 3 == (vy - y) % 3 == 0)
-        tss = tss or kind > 0
-        labels.update(found)
-    codim = _weight_walk(ordk, gram, vxy, v2, rays)  # None when v has no decomposition
-    if primitive:  # labels holds only contraction labels so far
-        if v2 >= 4 and codim is not None and not labels:
-            labels.add(FLOPPING)
-        if not labels:
-            labels.add(NO_WALL if codim is None else FAKE_WALL)
-    elif not labels:
-        labels.add(INDETERMINATE)
-    return tss, labels, codim
+def _refined(primitive: bool, v2: int, codim: int | None) -> str:
+    """The one label of a wall whose rays fire no clause: Flopping, FakeWall
+    or NoWall for primitive v, by v^2 and the codimension bound, else
+    IndeterminateNonPrimitive.  Clause labels may coexist: reducible moduli
+    can have components with different behaviour."""
+    if not primitive:
+        return INDETERMINATE
+    return NO_WALL if codim is None else FLOPPING if v2 >= 4 else FAKE_WALL
 
 
 def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
-    """The wall-type classification of H (_wall_row) with each label's witnesses."""
+    """The wall-type classification of H with each label's witnesses: the
+    clauses of each ray of isotropic_rays, then the weight walk's bound."""
     t = H.surface
     ordk = surface_invariants(t).ord_k
     v = H.v
@@ -493,29 +470,34 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
     if max_parts < 2:
         raise PreconditionError(f"max_parts must be >= 2, got {max_parts}")
-    lv = l_invariant_any(t, v) if H.rays else 0  # only the clauses on a ray read l(v)
-    tss, labels, codim = _wall_row(ordk, v2, lv, v.is_primitive(), H.gram, H.vxy, H.rays)
-    # the Flopping / FakeWall witness is None, walked for when it is read;
-    # the rays witness the other labels in the order of u
-    found = {label: None if label in (FLOPPING, FAKE_WALL) else () for label in labels}
+    rays = isotropic_rays(H) if H.rays else []
+    lv = l_invariant_any(t, v) if rays else 0  # only the clauses on a ray read l(v)
+    found = {}  # label -> the rays that witness it, in the order of u
     first = {}  # the first u of each tss kind; the witness passes test 1, else test 2
-    if tss or not labels.isdisjoint(_CONTRACTION_LABELS):
-        for u, q, l in isotropic_rays(H):
-            bit = (v.r - u.r) % 3 == (v.a - u.a) % 3 == (v.b - u.b) % 3 == (v.s - u.s) % 3 == 0
-            kind, names = _ray_clauses(ordk, v2, lv, q, l, bit)
-            first.setdefault(kind, u)
-            for label in names:
-                found[label] += (u,)
+    for u, q, l in rays:
+        bit = (v.r - u.r) % 3 == (v.a - u.a) % 3 == (v.b - u.b) % 3 == (v.s - u.s) % 3 == 0
+        kind, names = _ray_clauses(ordk, v2, lv, q, l, bit)
+        first.setdefault(kind, u)
+        for label in names:
+            found[label] = found.get(label, ()) + (u,)
+    codim = _weight_walk(ordk, H.gram, H.vxy, v2, H.rays)  # None when v has no decomposition
+    if not found:  # the Flopping / FakeWall witness is None, walked for when it is read
+        label = _refined(v.is_primitive(), v2, codim)
+        found[label] = None if label in (FLOPPING, FAKE_WALL) else ()
     return WallClassification(H, max_parts, first.get(1, first.get(2)), found, codim)
 
 
 def classify_key(t: int, key: tuple) -> tuple:
     """classify_wall's (totally_semistable, labels, codim_bound) for the walls
     with this wall_key, on its basis (v0, f): v = (c, 0), so v is primitive
-    iff c = 1, and f^2 = (D + B^2) / A, as D = A*f^2 - B^2 and A = v0^2 > 0."""
+    iff c = 1, each ray has <v, u> = c*(A*X + B*Y) > 0 and its mod-3 bit
+    stored, and f^2 = (D + B^2) / A, as D = A*f^2 - B^2 and A = v0^2 > 0."""
     c, A, B, D, lv, rays = key
-    gram = ((A, B), (B, (D + B * B) // A))
-    return _wall_row(surface_invariants(t).ord_k, c * c * A, lv, c == 1, gram, (c, 0), rays)
+    ordk, v2 = surface_invariants(t).ord_k, c * c * A
+    rows = [_ray_clauses(ordk, v2, lv, c * (A * X + B * Y), l, bit) for X, Y, l, bit in rays]
+    codim = _weight_walk(ordk, ((A, B), (B, (D + B * B) // A)), (c, 0), v2, rays)
+    labels = {label for _, names in rows for label in names}
+    return any(kind for kind, _ in rows), labels or {_refined(c == 1, v2, codim)}, codim
 
 
 def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:
@@ -529,10 +511,10 @@ def wall_key(gram, vxy: tuple[int, int], lv: int, rays) -> tuple:
     A ray u with <v, u> > 0 gives its (X, Y) in (v0, f), l(u), and whether
     3 | v - u, i.e. c - X = Y = 0 mod 3 as H is saturated.  Proof: for one
     key, x*v0 + y*f -> x*v0' + y*f' is an isometry taking v to v' and b*u
-    to b*u' with l(b*u) = b*l(u) = l(b*u'), so it keeps all _wall_row
+    to b*u' with l(b*u) = b*l(u) = l(b*u'), so it keeps all the classifier
     reads: v^2 = c^2*A, l(v), primitivity (c = 1), each ray's <v, u>, l(u)
     and bit, and the search's weights q(p)/2 and l(p) // ord_k.  So
-    classify_key runs _wall_row on the key alone.
+    classify_key reads the key's oriented rays and stored bits alone.
     """
     (g11, g12), (_, g22) = gram
     c, p, q = ext_gcd(*vxy)
@@ -605,8 +587,8 @@ def _full_l_candidate(t: int, r: int, Da: int, Db: int, index: int) -> MukaiVect
     ab = d0a * d0b
     k, l = _val(ab, 2), _val(ab, 3)
     mod = 2 ** (x + i + k) * 3 ** (y + j + l)
-    if gcd(r1, mod) != 1:
-        return None
+    # r1 is prime to 6, so a unit mod 2^a 3^b: 6 | M*r makes den = 1 mod 6, the
+    # perturbation's N = 1 mod 6 keeps that, and dividing by g cannot add 2 or 3
     rtil = pow(r1, -1, mod)  # in [0, mod), so ntil >= 1
     for bump in range(1, 65):
         ntil = mod * bump - rtil

@@ -1,0 +1,31 @@
+"""Smoke tests of scripts/differential.py on a small part of its wall list."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def differential(against, walls=200):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "differential.py"), "--against", str(against), "--walls", str(walls)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_self_comparison_finds_no_difference():
+    run = differential(ROOT / "src")
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.startswith("differential: 200 walls (")
+    assert " 0 differences against " in run.stdout
+
+
+def test_a_changed_label_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src" / "bielliptic", tmp_path / "bielliptic")
+    walls = tmp_path / "bielliptic" / "walls.py"
+    walls.write_text(walls.read_text().replace('FAKE_WALL = "FakeWall"', 'FAKE_WALL = "Fake"'))
+    run = differential(tmp_path)
+    assert run.returncode == 1
+    assert " 0 differences " not in run.stdout and "FakeWall" in run.stderr

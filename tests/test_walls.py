@@ -642,6 +642,38 @@ class TestOnDemandWitness:
         assert walks == [H.v]
 
 
+class TestOneReadPerRay:
+    """Each entry point evaluates the clauses once per ray of its own."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls, clauses = [], walls_module._ray_clauses
+
+        def counted(*args):
+            calls.append(args)
+            return clauses(*args)
+
+        monkeypatch.setattr(walls_module, "_ray_clauses", counted)
+        return calls
+
+    def test_hilbert_chow_reads_each_ray_once(self, reads):
+        # two rays, and one of them fires a clause and passes a tss test
+        H = H_of(1, (1, 0, 0, -2), (0, 0, 0, 1))
+        c = classify_wall(H)
+        assert c.labels == frozenset({HILBERT_CHOW}) and len(H.rays) == 2
+        assert len(reads) == 2
+        reads.clear()
+        assert classify_key(1, basis_key(H)) == (True, {HILBERT_CHOW}, 0)
+        assert len(reads) == 2
+
+    def test_rayless_wall_reads_none(self, reads):
+        H = H_of(1, (2, 1, 2, 0), (0, 1, -2, 1))
+        assert H.det() == -20 and H.rays == ()
+        classify_wall(H)
+        classify_key(1, basis_key(H))
+        assert reads == []
+
+
 class TestClassification:
     def test_fake_wall(self):
         c = classify_wall(H_of(1, (1, 0, 0, -1), (0, 0, 0, 1)))
