@@ -1,28 +1,34 @@
 #!/usr/bin/env python3
-"""Compare this checkout's wall classifier with another checkout's on one
-fixed-seed list of walls.
+"""Compare this checkout's wall classifier and reduction loop with another
+checkout's on one fixed-seed list of walls and one of reductions.
 
     python3 scripts/differential.py --against PATH [--walls N]
 
 PATH is another checkout, or its src directory.  Each tree's library runs
-in its own child process over the same list and writes one JSON line per
+in its own child process over the same lists and writes one JSON line per
 wall: the class and message of the error saturate_lattice raises, or the
 classify_wall result (tss, the tss witness, the sorted labels, the
 codimension bound, the witnesses of every label) and the classify_key row
 of the wall's wall_key.  The witnesses are skipped above v^2 = 3,000,
-where the witness walk can list every positive class.  The script prints
-one summary line, lists the first differing walls on stderr and exits 1 on
-any difference.
+where the witness walk can list every positive class.  It then writes one
+JSON line per reduction: the reduced vector's text, matches_reduced_form
+of it, the log's length and the SHA-256 of the log's JSON.  The script
+prints one summary line, lists the first differing walls or reductions on
+stderr and exits 1 on any difference.
 
 The list is the atlas box 3,2,2,3 against 0,0,0,1 and 1,0,0,0 on all 7
 types; 2,000 random walls with 0 < v^2 <= 3,000; and 20 walls with v^2
 from 10^4 to 3*10^5, drawn as in ROADMAP's Baselines (r <= 9, |a|, |b| <=
-400, |s| <= 30,000, w in the box 3, random type).  --walls N compares N
-walls spread evenly over the list.  Standard library only.
+400, |s| <= 30,000, w in the box 3, random type).  The reductions are
+1,000 (type, v) pairs drawn as the bench's reduce workload draws them,
+alternately with r, |a|, |b|, |s| <= 40 and <= 10^6, plus one input per
+branch of the reduction loop.  --walls N compares N walls spread evenly
+over the wall list, and every reduction.  Standard library only.
 """
 
 import argparse
 import json
+import math
 import os
 import random
 import subprocess
@@ -35,13 +41,14 @@ ROOT = Path(__file__).resolve().parent.parent
 WITNESS_SQUARE = 3_000  # the largest v^2 whose witnesses are compared
 
 CHILD = """\
-import json, sys
+import hashlib, json, sys
 sys.path.insert(0, sys.argv[1])
-from bielliptic.errors import PreconditionError
+from bielliptic.errors import BiellipticError, PreconditionError
 from bielliptic.lattice import MukaiVector, l_invariant_any, square
+from bielliptic.transforms import matches_reduced_form, reduce_to_table
 from bielliptic.walls import classify_key, classify_wall, saturate_lattice, wall_key
 with open(sys.argv[2]) as f:
-    walls = json.load(f)
+    walls, reductions = json.load(f)
 for t, vt, wt in walls:
     v = MukaiVector.of(*vt)
     try:
@@ -61,6 +68,14 @@ for t, vt, wt in walls:
     if square(v) <= int(sys.argv[3]):
         row["witnesses"] = {label: [u.text() for u in us] for label, us in sorted(c.witnesses.items())}
     print(json.dumps(row))
+for t, vt in reductions:
+    try:
+        v0, log = reduce_to_table(t, MukaiVector.of(*vt))
+    except BiellipticError as e:
+        print(json.dumps({"error": [type(e).__name__, str(e)]}))
+        continue
+    digest = hashlib.sha256(json.dumps(log.to_json()).encode()).hexdigest()
+    print(json.dumps([v0.text(), matches_reduced_form(t, v0), len(log), digest]))
 """
 
 
@@ -100,6 +115,30 @@ def wall_list() -> list:
     )
 
 
+# one input per branch of reduce_to_table, as tests/test_transforms.py
+# pins them in REFERENCE_BRANCHES
+BRANCH_REDUCTIONS = [
+    [6, (3, -1, -3, -3)], [1, (2, -1, -2, -2)], [6, (2, -1, -2, -2)], [2, (2, -1, -2, -2)],
+    [5, (3, -3, -1, -3)], [1, (3, -3, -2, -3)], [5, (2, -2, -1, -2)], [6, (3, 1, 2, 0)],
+    [6, (9, -6, -3, -8)], [6, (9, -6, -2, -9)], [3, (3, -3, -2, -3)], [6, (18, 25, 20, -23)],
+    [1, (1000, 1, 0, 0)],
+]
+
+
+def primitive(rng: random.Random, n: int) -> tuple:
+    """A primitive (r, a, b, s) with 1 <= r <= n and |a|, |b|, |s| <= n."""
+    while True:
+        v = (rng.randint(1, n),) + tuple(rng.randint(-n, n) for _ in range(3))
+        if math.gcd(*v) == 1:
+            return v
+
+
+def reduction_list() -> list:
+    rng = random.Random(3)
+    drawn = [[rng.randint(1, 7), primitive(rng, n)] for _ in range(500) for n in (40, 10**6)]
+    return drawn + BRANCH_REDUCTIONS
+
+
 def src_of(path: str) -> str:
     """The src directory of a checkout, or path itself when it holds the library."""
     p = Path(path).resolve()
@@ -116,15 +155,17 @@ def main() -> None:
     walls = wall_list()
     if args.walls is not None and args.walls < len(walls):
         walls = [walls[i * len(walls) // args.walls] for i in range(args.walls)]
+    reductions = reduction_list()
+    cases = [f"wall {w}" for w in walls] + [f"reduction {red}" for red in reductions]
     trees = [str(ROOT / "src"), src_of(args.against)]
     with tempfile.TemporaryDirectory() as tmp:
-        wall_file = Path(tmp) / "walls.json"
-        wall_file.write_text(json.dumps(walls))
+        case_file = Path(tmp) / "cases.json"
+        case_file.write_text(json.dumps([walls, reductions]))
         start = time.perf_counter()
         outs = [open(Path(tmp) / f"out{i}", "w+") for i in range(2)]
         children = [
             subprocess.Popen(
-                [sys.executable, "-S", "-c", CHILD, src, str(wall_file), str(WITNESS_SQUARE)],
+                [sys.executable, "-S", "-c", CHILD, src, str(case_file), str(WITNESS_SQUARE)],
                 stdout=out, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
             )
             for src, out in zip(trees, outs)
@@ -140,14 +181,15 @@ def main() -> None:
         print(f"differential: a child failed (exit {codes[0]} here, {codes[1]} against {trees[1]})")
         sys.exit(1)
     ours, theirs = lines
-    diffs = [i for i in range(len(walls)) if i >= min(len(ours), len(theirs)) or ours[i] != theirs[i]]
+    diffs = [i for i in range(len(cases)) if i >= min(len(ours), len(theirs)) or ours[i] != theirs[i]]
     for i in diffs[:5]:
-        print(f"wall {walls[i]}:\n  here:    {ours[i] if i < len(ours) else None}\n"
+        print(f"{cases[i]}:\n  here:    {ours[i] if i < len(ours) else None}\n"
               f"  against: {theirs[i] if i < len(theirs) else None}", file=sys.stderr)
-    errors = sum(line.startswith('{"error"') for line in ours)
+    errors = sum(line.startswith('{"error"') for line in ours[:len(walls)])
     print(f"differential: {len(walls)} walls ({errors} rejected, "
           f"{sum(square(v) <= WITNESS_SQUARE for _, v, _ in walls)} with witnesses, "
-          f"v^2 up to {max(square(v) for _, v, _ in walls)}), {len(diffs)} differences "
+          f"v^2 up to {max(square(v) for _, v, _ in walls)}) and {len(reductions)} reductions, "
+          f"{len(diffs)} differences "
           f"against {trees[1]}, {seconds:.2f} s")
     sys.exit(1 if diffs else 0)
 

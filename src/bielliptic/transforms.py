@@ -235,15 +235,16 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
         x = -(a // r)
         y = -(b // r)
         if x or y:
-            step = TwistBy(DivisorClass(x, y))
-            emit(step)
-            r, a, b, s = act(step, lam, ordk, r, a, b, s)
+            emit(TwistBy(DivisorClass(x, y)))
+            a, b, s = a + r * x, b + r * y, s + a * y + b * x + r * x * y  # _act's TwistBy line
 
         if not (a == 0 or (lam > 1 and lam * a == r)):  # _a_reduced, inlined
             if 2 * a > r:
                 step = DUAL
             elif lam * a < r:
-                step = PHI_INV
+                emit(PHI_INV)
+                r, b = r - lam * a, b - lam * s  # _act's PHI_INV line
+                continue
             else:
                 # lambda = 3 and r/3 < a <= r/2
                 step = TYPE6_A_MOVE

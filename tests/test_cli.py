@@ -122,8 +122,9 @@ class TestReduce:
         assert out.startswith("5,-3,2,-7 -> ")
 
     def test_budget_exhausted_exits_3(self, capsys, monkeypatch):
-        # with every step acting as the identity the loop never converges
-        monkeypatch.setattr(transforms, "_act", lambda step, lam, ordk, r, a, b, s: (r, a, b, s))
+        # with no b ever counted reduced, the real steps cycle psi_inv and a
+        # twist at r = 1 and the loop never converges
+        monkeypatch.setattr(transforms, "_b_reduced", lambda b, r, ordk: False)
         code, out, err = run(capsys, "reduce", "--type", "1", "--vector", "3,1,1,0", "--json")
         assert code == 3
         assert out == ""

@@ -29,3 +29,12 @@ def test_a_changed_label_is_reported(tmp_path):
     run = differential(tmp_path)
     assert run.returncode == 1
     assert " 0 differences " not in run.stdout and "FakeWall" in run.stderr
+
+
+def test_a_changed_step_name_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src" / "bielliptic", tmp_path / "bielliptic")
+    transforms = tmp_path / "bielliptic" / "transforms.py"
+    transforms.write_text(transforms.read_text().replace('PHI_INV = "phi_inv"', 'PHI_INV = "phi_inverse"'))
+    run = differential(tmp_path)
+    assert run.returncode == 1
+    assert " 0 differences " not in run.stdout and "reduction [" in run.stderr

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+from bielliptic import transforms
 from bielliptic.cli import run_command
 from bielliptic.errors import PreconditionError, ReductionBudgetError
 from bielliptic.lattice import DivisorClass, MukaiVector, mukai_pairing, square
@@ -442,6 +443,26 @@ def test_reduction_matches_reference_loop(t, v):
     ref_v0, ref_log = _reference_reduce(t, v)
     assert got_v0 == ref_v0
     assert got_log.to_json() == ref_log.to_json()
+
+
+@pytest.mark.parametrize("name, act_calls", [("long_phi_inv_chain", 0), ("psi_inv", 1)])
+def test_loop_applies_its_twists_and_phi_inv_itself(monkeypatch, name, act_calls):
+    # the normalising twist and PHI_INV, 95 % of the steps on random input,
+    # are applied on the loop's own ints; only the other steps call _act
+    calls = []
+
+    def counting_act(step, *args):
+        calls.append(step)
+        return _act(step, *args)
+
+    monkeypatch.setattr(transforms, "_act", counting_act)
+    t, text = REFERENCE_BRANCHES[name]
+    v = MukaiVector.parse(text)
+    v0, log = reduce_to_table(t, v)
+    assert len(calls) == act_calls
+    ref_v0, ref_log = _reference_reduce(t, v)
+    assert v0 == ref_v0
+    assert log.to_json() == ref_log.to_json()
 
 
 class TestExceptional:
