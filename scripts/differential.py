@@ -121,7 +121,7 @@ BRANCH_REDUCTIONS = [
     [6, (3, -1, -3, -3)], [1, (2, -1, -2, -2)], [6, (2, -1, -2, -2)], [2, (2, -1, -2, -2)],
     [5, (3, -3, -1, -3)], [1, (3, -3, -2, -3)], [5, (2, -2, -1, -2)], [6, (3, 1, 2, 0)],
     [6, (9, -6, -3, -8)], [6, (9, -6, -2, -9)], [3, (3, -3, -2, -3)], [6, (18, 25, 20, -23)],
-    [1, (1000, 1, 0, 0)],
+    [1, (1000, 1, 0, 0)], [1, (1000, 1, 0, 999)],
 ]
 
 

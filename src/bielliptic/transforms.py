@@ -20,7 +20,7 @@ Every step preserves the Mukai pairing (the composites include a shift
 exactly when they involve an odd number of anti-equivalences).
 """
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 
 from bielliptic.errors import PreconditionError, ReductionBudgetError
@@ -48,7 +48,11 @@ class TwistBy:
         return f"TwistBy(D={self.D!r})"
 
     def describe(self) -> dict:
-        return {"step": "twist", "params": {"a": self.D.a, "b": self.D.b}}
+        return _twist_json(self.D.a, self.D.b)
+
+
+def _twist_json(a: int, b: int) -> dict:
+    return {"step": "twist", "params": {"a": a, "b": b}}
 
 
 class _Atom(Enum):
@@ -135,28 +139,61 @@ def apply_transform(t: int, step: TransformStep, v: MukaiVector) -> MukaiVector:
     return MukaiVector(*_act(step, lam, ordk, v.r, v.a, v.b, v.s))
 
 
-@dataclass(frozen=True)
 class TransformLog:
-    """Replayable sequence of steps; replay(t, v) reproduces the output."""
+    """Replayable sequence of steps; replay(t, v) reproduces the output.
 
-    steps: tuple[TransformStep, ...] = ()
+    A twist is held as its (a, b) int pair and an atom as itself; the
+    TwistBy values are built only when the steps are read."""
+
+    __slots__ = ("_items",)
+
+    def __init__(self, steps: Iterable[TransformStep] = ()):
+        self._items = tuple((st.D.a, st.D.b) if st.__class__ is TwistBy else st for st in steps)
+
+    @classmethod
+    def _of_items(cls, items: list) -> "TransformLog":
+        """The log of items as the reduction loop emits them, unconverted:
+        __init__'s pass over them costs about 85 ns an item."""
+        log = object.__new__(cls)
+        log._items = tuple(items)
+        return log
+
+    def _iter_steps(self):
+        """The steps one at a time, so that replay holds one twist at once."""
+        for item in self._items:
+            yield TwistBy(DivisorClass(*item)) if item.__class__ is tuple else item
+
+    @property
+    def steps(self) -> tuple[TransformStep, ...]:
+        return tuple(self._iter_steps())
 
     def replay(self, t: int, v: MukaiVector) -> MukaiVector:
-        for step in self.steps:
+        for step in self._iter_steps():
             v = apply_transform(t, step, v)
         return v
 
     def to_json(self) -> list[dict]:
         """One item per step, as step_from_json reads it.  The items are
         read-only: an atom's item is one dict shared by every log."""
-        return [step.describe() for step in self.steps]
+        return [_twist_json(*item) if item.__class__ is tuple else item.describe() for item in self._items]
 
     @classmethod
     def from_json(cls, items: list[dict]) -> "TransformLog":
-        return cls(tuple(step_from_json(item) for item in items))
+        return cls(step_from_json(item) for item in items)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items == other._items
+
+    def __hash__(self) -> int:
+        return hash(self._items)
+
+    def __repr__(self) -> str:
+        return f"TransformLog(steps={self.steps!r})"
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self._items)
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +231,9 @@ def matches_reduced_form(t: int, v: MukaiVector) -> bool:
 # the reduction loop
 
 
+_ESCAPE_TWIST = TwistBy(DivisorClass(0, -1))  # the ord-3 escape before PSI
+
+
 def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
     """Drive a primitive positive-rank vector to a reduced row pattern.
 
@@ -217,8 +257,8 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
     data = surface_invariants(t)
     lam, ordk = data.lam, data.ord_k
     act = _act
-    steps: list[TransformStep] = []
-    emit = steps.append
+    items: list = []  # a twist as its (a, b) pair, see TransformLog
+    emit = items.append
     r, a, b, s = v.r, v.a, v.b, v.s
     budget = 20 * r + 100
     fuel = budget
@@ -235,7 +275,7 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
         x = -(a // r)
         y = -(b // r)
         if x or y:
-            emit(TwistBy(DivisorClass(x, y)))
+            emit((x, y))
             a, b, s = a + r * x, b + r * y, s + a * y + b * x + r * x * y  # _act's TwistBy line
 
         if not (a == 0 or (lam > 1 and lam * a == r)):  # _a_reduced, inlined
@@ -249,7 +289,7 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
                 # lambda = 3 and r/3 < a <= r/2
                 step = TYPE6_A_MOVE
         elif _b_reduced(b, r, ordk):
-            return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
+            return MukaiVector(r, a, b, s), TransformLog._of_items(items)
         elif 2 * b > r and (a == 0 or 2 * a == r):
             step = DUAL
         elif ordk * b < r:
@@ -261,12 +301,11 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
                 # a = r/3 here; the escape below is rank-neutral and moves b
                 # off the stuck residue unless r = 3 (k | s forces k = 1).
                 if s % (r // 3) == 0:
-                    return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
+                    return MukaiVector(r, a, b, s), TransformLog._of_items(items)
                 step = TYPE6_A_MOVE
             else:
-                step = TwistBy(DivisorClass(0, -1))
-                emit(step)
-                r, a, b, s = act(step, lam, ordk, r, a, b, s)
+                emit((0, -1))
+                r, a, b, s = act(_ESCAPE_TWIST, lam, ordk, r, a, b, s)
                 step = PSI
         else:
             # ord 4 or 6, r/ord < b < 2r/ord after the safe flip

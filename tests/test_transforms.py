@@ -141,6 +141,41 @@ class TestLogs:
         again = TransformLog.from_json(log.to_json())
         assert again == log
 
+    def test_reduction_log_round_trips_through_json(self):
+        # 999 twists between 999 phi_inv steps, each held as its (a, b) pair
+        t, text = REFERENCE_BRANCHES["twist_each_phi_inv"]
+        _, log = reduce_to_table(t, MukaiVector.parse(text))
+        again = TransformLog.from_json(log.to_json())
+        assert again == log and hash(again) == hash(log)
+        assert again.to_json() == log.to_json()
+
+    def test_log_of_step_objects_equals_the_reduction_log(self):
+        _, log = reduce_to_table(1, MukaiVector.of(3, 1, 1, 0))
+        built = TransformLog((PHI_INV, PHI_INV, TwistBy(DivisorClass(-1, -1))))
+        assert built == log and hash(built) == hash(log) and len(built) == len(log) == 3
+        assert built != TransformLog((PHI_INV, PHI_INV, TwistBy(DivisorClass(-1, 0))))
+        assert built != TransformLog((PHI_INV, TwistBy(DivisorClass(-1, -1))))
+        assert log.__eq__(log.steps) is NotImplemented
+        for name in ("twist_0_-1_then_psi", "twist_each_phi_inv", "stuck_type6"):
+            t, text = REFERENCE_BRANCHES[name]
+            _, log = reduce_to_table(t, MukaiVector.parse(text))
+            built = TransformLog(log.steps)
+            assert built == log and hash(built) == hash(log), name
+
+    def test_steps_are_twists_and_atoms(self):
+        _, log = reduce_to_table(6, MukaiVector.parse(REFERENCE_BRANCHES["twist_0_-1_then_psi"][1]))
+        steps = log.steps
+        assert steps.__class__ is tuple and len(steps) == len(log)
+        assert TwistBy(DivisorClass(0, -1)) in steps and PSI in steps
+        for step in steps:
+            assert step.__class__ is TwistBy or step in transforms._Atom
+            if step.__class__ is TwistBy:
+                assert step.D.__class__ is DivisorClass
+                assert (step.D.a.__class__, step.D.b.__class__) == (int, int)
+        assert repr(TransformLog((DUAL, TwistBy(DivisorClass(1, 2))))) == (
+            "TransformLog(steps=(<_Atom.DUAL: 'dual'>, TwistBy(D=DivisorClass(a=1, b=2))))"
+        )
+
     def test_unknown_step_rejected(self):
         with pytest.raises(ValueError):
             step_from_json({"step": "frobnicate", "params": None})
@@ -404,6 +439,7 @@ REFERENCE_BRANCHES = {
     "psi_dual_move": (3, "3,-3,-2,-3"),
     "stuck_type6": (6, "18,25,20,-23"),
     "long_phi_inv_chain": (1, "1000,1,0,0"),
+    "twist_each_phi_inv": (1, "1000,1,0,999"),
 }
 
 
@@ -429,6 +465,8 @@ def test_reference_branch_examples_take_their_steps():
     assert first_steps("ord3_escape_returns") == []
     assert first_steps("a_reduced_at_r_over_lambda") == ["twist"]
     assert first_steps("long_phi_inv_chain").count("phi_inv") == 999
+    alternating = first_steps("twist_each_phi_inv")
+    assert alternating == ["phi_inv", "twist"] * 999
     v0, _ = _reference_reduce(6, MukaiVector.parse(REFERENCE_BRANCHES["stuck_type6"][1]))
     assert (v0.a, v0.b) == (v0.r // 3, 2 * v0.r // 3)
 
@@ -463,6 +501,32 @@ def test_loop_applies_its_twists_and_phi_inv_itself(monkeypatch, name, act_calls
     ref_v0, ref_log = _reference_reduce(t, v)
     assert v0 == ref_v0
     assert log.to_json() == ref_log.to_json()
+
+
+@pytest.mark.parametrize("name", ["psi_inv", "twist_0_-1_then_psi", "twist_each_phi_inv"])
+def test_loop_builds_no_twist_objects(monkeypatch, name):
+    # the loop logs a twist as its (a, b) pair; TwistBy and DivisorClass
+    # are built only when the log's steps are read
+    t, text = REFERENCE_BRANCHES[name]
+    v = MukaiVector.parse(text)
+    built = {TwistBy: 0, DivisorClass: 0}
+    for cls in built:
+        def counting_init(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    v0, log = reduce_to_table(t, v)
+    assert built == {TwistBy: 0, DivisorClass: 0}
+    ref_v0, ref_log = _reference_reduce(t, v)
+    ref_steps = ref_log.steps
+    twists = sum(step.__class__ is TwistBy for step in ref_steps)
+    assert twists >= 1
+    assert v0 == ref_v0
+    assert log.steps == ref_steps
+    # the counters do count: the reference loop builds each twist once,
+    # and each of the two reads of steps builds it once more
+    assert built == {TwistBy: 3 * twists, DivisorClass: 3 * twists}
 
 
 class TestExceptional:
