@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Compare this checkout's wall classifier and reduction loop with another
-checkout's on one fixed-seed list of walls and one of reductions.
+"""Compare this checkout's wall classifier, reduction loop and CLI with
+another checkout's on fixed-seed lists of walls, reductions and CLI calls.
 
     python3 scripts/differential.py --against PATH [--walls N]
 
@@ -12,8 +12,10 @@ codimension bound, the witnesses of every label) and the classify_key row
 of the wall's wall_key.  The witnesses are skipped above v^2 = 3,000,
 where the witness walk can list every positive class.  It then writes one
 JSON line per reduction: the reduced vector's text, matches_reduced_form
-of it, the log's length and the SHA-256 of the log's JSON.  The script
-prints one summary line, lists the first differing walls or reductions on
+of it, the log's length and the SHA-256 of the log's JSON; then one per
+CLI call, made through cli.run_command with its output captured: the exit
+status and the SHA-256 of stdout, a NUL and stderr.  The script prints one
+summary line, lists the first differing walls, reductions or calls on
 stderr and exits 1 on any difference.
 
 The list is the atlas box 3,2,2,3 against 0,0,0,1 and 1,0,0,0 on all 7
@@ -22,8 +24,12 @@ from 10^4 to 3*10^5, drawn as in ROADMAP's Baselines (r <= 9, |a|, |b| <=
 400, |s| <= 30,000, w in the box 3, random type).  The reductions are
 1,000 (type, v) pairs drawn as the bench's reduce workload draws them,
 alternately with r, |a|, |b|, |s| <= 40 and <= 10^6, plus one input per
-branch of the reduction loop.  --walls N compares N walls spread evenly
-over the wall list, and every reduction.  Standard library only.
+branch of the reduction loop.  The CLI calls are 1,000 argv drawn from
+every subcommand but atlas: about 700 valid ones, --json or not, and 300
+invalid ones (an unknown or trailing flag, an abbreviated flag, -h, a
+missing command word, a bad value), plus -h on the top parser and on each
+command.  --walls N compares N walls spread evenly over the wall list,
+every reduction and every call.  Standard library only.
 """
 
 import argparse
@@ -41,14 +47,15 @@ ROOT = Path(__file__).resolve().parent.parent
 WITNESS_SQUARE = 3_000  # the largest v^2 whose witnesses are compared
 
 CHILD = """\
-import hashlib, json, sys
+import contextlib, hashlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+from bielliptic.cli import run_command
 from bielliptic.errors import BiellipticError, PreconditionError
 from bielliptic.lattice import MukaiVector, l_invariant_any, square
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
 from bielliptic.walls import classify_key, classify_wall, saturate_lattice, wall_key
 with open(sys.argv[2]) as f:
-    walls, reductions = json.load(f)
+    walls, reductions, calls = json.load(f)
 for t, vt, wt in walls:
     v = MukaiVector.of(*vt)
     try:
@@ -76,6 +83,11 @@ for t, vt in reductions:
         continue
     digest = hashlib.sha256(json.dumps(log.to_json()).encode()).hexdigest()
     print(json.dumps([v0.text(), matches_reduced_form(t, v0), len(log), digest]))
+for argv in calls:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    print(json.dumps([code, hashlib.sha256((out.getvalue() + "\\0" + err.getvalue()).encode()).hexdigest()]))
 """
 
 
@@ -139,6 +151,83 @@ def reduction_list() -> list:
     return drawn + BRANCH_REDUCTIONS
 
 
+def _vector(rng: random.Random) -> str:
+    return ",".join(str(rng.randint(lo, 4)) for lo in (0, -4, -4, -4))
+
+
+# command words -> [(flag, draw of a valid value, or None for a switch)]
+CLI_GRAMMAR = {
+    ("info",): [("--type", lambda rng: str(rng.randint(1, 7)))],
+    ("pair",): [("--type", lambda rng: str(rng.randint(1, 7))), ("--v", _vector), ("--w", _vector)],
+    ("reduce",): [("--type", lambda rng: str(rng.randint(1, 7))), ("--vector", _vector)],
+    ("wall", "classify"): [
+        ("--type", lambda rng: str(rng.randint(1, 7))), ("--v", _vector), ("--w", _vector),
+        ("--max-parts", lambda rng: str(rng.randint(2, 4))),
+    ],
+    ("wall", "slice"): [
+        ("--type", lambda rng: str(rng.randint(1, 7))), ("--v", _vector), ("--w", _vector),
+        ("--H0", lambda rng: f"{rng.randint(1, 3)},{rng.randint(1, 3)}"),
+        ("--emit-samples", lambda rng: str(rng.randint(0, 3))),
+    ],
+    ("moduli", "report"): [
+        ("--type", lambda rng: str(rng.randint(1, 7))), ("--vector", _vector), ("--generic-surface", None),
+    ],
+    ("oracle", "cases"): [
+        ("--m", lambda rng: str(rng.choice((2, 3, 4, 6)))), ("--target", lambda rng: str(rng.randint(0, 1))),
+        ("--bound", lambda rng: str(rng.randint(1, 6))),
+    ],
+}
+LEAVES = [*CLI_GRAMMAR, ("atlas",)]
+BAD_VALUES = ["0", "8", "1,2,3", "x", "-", "--", "-1"]
+
+
+def valid_call(rng: random.Random, words: tuple) -> list:
+    """words, then every flag of the command once, in random order and
+    spelling (--flag value or --flag=value); --json half the time."""
+    flags = CLI_GRAMMAR[words] + [("--json", None)] * rng.randint(0, 1)
+    rng.shuffle(flags)
+    argv = list(words)
+    for flag, draw in flags:
+        if draw is None:
+            argv.append(flag)
+        elif rng.random() < 0.5:
+            argv.append(f"{flag}={draw(rng)}")
+        else:
+            argv += [flag, draw(rng)]
+    return argv
+
+
+def invalid_call(rng: random.Random, words: tuple) -> list:
+    argv = valid_call(rng, words)
+    kind = rng.randrange(6)
+    if kind == 0:  # an unknown flag anywhere after the command words
+        argv.insert(rng.randint(len(words), len(argv)), rng.choice(["--nope", "--json=1", "-x"]))
+    elif kind == 1:  # a trailing token
+        argv.append(rng.choice(["extra", "1,0,0,0", "--", "classify"]))
+    elif kind == 2:  # an abbreviated flag: argparse takes a unique prefix
+        i = rng.choice([i for i, a in enumerate(argv) if a.startswith("--")])
+        flag, eq, value = argv[i].partition("=")
+        argv[i] = flag[: rng.randint(3, max(3, len(flag) - 1))] + eq + value
+    elif kind == 3:  # -h or --help on the command
+        argv.insert(rng.randint(len(words), len(argv)), rng.choice(["-h", "--help", "--he"]))
+    elif kind == 4:  # a missing command word
+        del argv[rng.randrange(len(words))]
+    else:  # a bad value in place of a value or of a flag
+        i = rng.randrange(len(words), len(argv))
+        flag, eq, _ = argv[i].partition("=")
+        argv[i] = flag + eq + rng.choice(BAD_VALUES) if eq else rng.choice(BAD_VALUES)
+    return argv
+
+
+def cli_list() -> list:
+    rng = random.Random(7)
+    calls = [["-h"]] + [[*words, "-h"] for words in LEAVES]
+    while len(calls) < 1_000:
+        words = rng.choice(list(CLI_GRAMMAR))
+        calls.append(valid_call(rng, words) if rng.random() < 0.7 else invalid_call(rng, words))
+    return calls
+
+
 def src_of(path: str) -> str:
     """The src directory of a checkout, or path itself when it holds the library."""
     p = Path(path).resolve()
@@ -156,11 +245,12 @@ def main() -> None:
     if args.walls is not None and args.walls < len(walls):
         walls = [walls[i * len(walls) // args.walls] for i in range(args.walls)]
     reductions = reduction_list()
-    cases = [f"wall {w}" for w in walls] + [f"reduction {red}" for red in reductions]
+    calls = cli_list()
+    cases = [f"wall {w}" for w in walls] + [f"reduction {red}" for red in reductions] + [f"cli {c}" for c in calls]
     trees = [str(ROOT / "src"), src_of(args.against)]
     with tempfile.TemporaryDirectory() as tmp:
         case_file = Path(tmp) / "cases.json"
-        case_file.write_text(json.dumps([walls, reductions]))
+        case_file.write_text(json.dumps([walls, reductions, calls]))
         start = time.perf_counter()
         outs = [open(Path(tmp) / f"out{i}", "w+") for i in range(2)]
         children = [
@@ -188,7 +278,8 @@ def main() -> None:
     errors = sum(line.startswith('{"error"') for line in ours[:len(walls)])
     print(f"differential: {len(walls)} walls ({errors} rejected, "
           f"{sum(square(v) <= WITNESS_SQUARE for _, v, _ in walls)} with witnesses, "
-          f"v^2 up to {max(square(v) for _, v, _ in walls)}) and {len(reductions)} reductions, "
+          f"v^2 up to {max(square(v) for _, v, _ in walls)}), {len(reductions)} reductions "
+          f"and {len(calls)} cli calls, "
           f"{len(diffs)} differences "
           f"against {trees[1]}, {seconds:.2f} s")
     sys.exit(1 if diffs else 0)

@@ -28,7 +28,7 @@ MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
 MAX_ATLAS_SQUARE = 256  # largest v^2 in that box; a wall's weight walk is at worst linear in it
 MAX_ATLAS_GENERATORS = 8  # `atlas --w` flags; each one is a sweep of the box
-MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is cubic in it
+MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is quadratic in it
 # v^2 of `wall classify --v`: the witness walk is linear in it, and so is the weight
 # walk when the best weight lies far below v^2/2; a wall with no positive class up
 # to v^2/2 reads no line
@@ -59,8 +59,8 @@ def _cmd_info(args) -> tuple[dict, list[str]]:
         "g_order": d.g_order,
         "multiplicities": list(d.multiplicities),
     }
-    # the text line is JSON too, without the schema
-    return row, [json.dumps(row, sort_keys=True)]
+    # the text line is JSON too, without the schema; --json prints no text line
+    return row, [] if args.json else [json.dumps(row, sort_keys=True)]
 
 
 def _cmd_pair(args) -> tuple[dict, list[str]]:
@@ -323,13 +323,21 @@ def _cmd_atlas(args) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; parse_args keeps no state."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[tuple[str, ...], argparse.ArgumentParser]]:
+    """The CLI's parser and its leaf parsers keyed by their command words,
+    built once per process; parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="bielliptic",
         description="Exact Mukai-lattice calculator for the seven bielliptic families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = {}
+
+    def add_leaf(subparsers, words, func, help):
+        p = subparsers.add_parser(words[-1], help=help)
+        p.set_defaults(func=func)
+        leaves[words] = p
+        return p
 
     def add_type(p):
         p.add_argument("--type", type=int, required=True, help="surface type 1..7")
@@ -337,82 +345,88 @@ def build_parser() -> argparse.ArgumentParser:
     def add_json(p):
         p.add_argument("--json", action="store_true", help="emit versioned JSON")
 
-    p = sub.add_parser("info", help="invariants of one of the seven families")
+    p = add_leaf(sub, ("info",), _cmd_info, "invariants of one of the seven families")
     add_type(p)
     add_json(p)
-    p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("pair", help="Mukai pairing and squares")
+    p = add_leaf(sub, ("pair",), _cmd_pair, "Mukai pairing and squares")
     add_type(p)
     p.add_argument("--v", required=True, help="vector r,a,b,s")
     p.add_argument("--w", required=True, help="vector r,a,b,s")
     add_json(p)
-    p.set_defaults(func=_cmd_pair)
 
-    p = sub.add_parser("reduce", help="reduce a primitive vector to a row pattern")
+    p = add_leaf(sub, ("reduce",), _cmd_reduce, "reduce a primitive vector to a row pattern")
     add_type(p)
     p.add_argument("--vector", required=True, help="vector r,a,b,s")
     add_json(p)
-    p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("wall", help="wall-lattice computations")
     wall_sub = p.add_subparsers(dest="wall_command", required=True)
 
-    q = wall_sub.add_parser("classify", help="classify the wall spanned by v, w")
+    q = add_leaf(wall_sub, ("wall", "classify"), _cmd_wall_classify, "classify the wall spanned by v, w")
     add_type(q)
     q.add_argument("--v", required=True)
     q.add_argument("--w", required=True)
     q.add_argument("--max-parts", type=int, default=4, dest="max_parts")
     add_json(q)
-    q.set_defaults(func=_cmd_wall_classify)
 
-    q = wall_sub.add_parser("slice", help="wall locus in the (x, y) slice")
+    q = add_leaf(wall_sub, ("wall", "slice"), _cmd_wall_slice, "wall locus in the (x, y) slice")
     add_type(q)
     q.add_argument("--v", required=True)
     q.add_argument("--w", required=True)
     q.add_argument("--H0", required=True, help="ample divisor a,b")
     q.add_argument("--emit-samples", type=_nonnegative_int, default=0, dest="emit_samples")
     add_json(q)
-    q.set_defaults(func=_cmd_wall_slice)
 
     p = sub.add_parser("moduli", help="moduli reports")
     moduli_sub = p.add_subparsers(dest="moduli_command", required=True)
-    q = moduli_sub.add_parser("report", help="non-emptiness / dimension / singularities")
+    q = add_leaf(moduli_sub, ("moduli", "report"), _cmd_moduli_report,
+                 "non-emptiness / dimension / singularities")
     add_type(q)
     q.add_argument("--vector", required=True)
     q.add_argument("--generic-surface", action="store_true", dest="generic_surface")
     add_json(q)
-    q.set_defaults(func=_cmd_moduli_report)
 
     p = sub.add_parser("oracle", help="brute-force case enumerations")
     oracle_sub = p.add_subparsers(dest="oracle_command", required=True)
-    q = oracle_sub.add_parser("cases", help="equality-case families")
+    q = add_leaf(oracle_sub, ("oracle", "cases"), _cmd_oracle_cases, "equality-case families")
     q.add_argument("--m", type=int, required=True, choices=(2, 3, 4, 6))
     q.add_argument("--target", type=int, required=True, choices=(0, 1))
     q.add_argument("--bound", type=int, default=8)
     add_json(q)
-    q.set_defaults(func=_cmd_oracle_cases)
 
-    p = sub.add_parser("atlas", help="sweep and classify a box of vectors (CSV)")
+    p = add_leaf(sub, ("atlas",), _cmd_atlas, "sweep and classify a box of vectors (CSV)")
     add_type(p)
     p.add_argument("--bounds", required=True, help="R,A,B,S box bounds")
     p.add_argument("--w", action="append", required=True, help="generator (repeatable)")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-    p.set_defaults(func=_cmd_atlas)
 
-    return parser
+    return parser, leaves
+
+
+def _parse(parser, leaves, argv: list[str]) -> argparse.Namespace:
+    """What parser.parse_args(argv) gives, less the command dests, from one
+    parse by the leaf parser that argv's command words name."""
+    words = 2 if tuple(argv[:2]) in leaves else 1
+    leaf = leaves.get(tuple(argv[:words]))
+    if leaf is None:  # argv names no command: the top parser prints usage, help or the error
+        return parser.parse_args(argv)
+    args, extra = leaf.parse_known_args(argv[words:])
+    if extra:  # as parse_args reports what its subparsers leave over
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def run_command(argv: list[str]) -> int:
     """Parse, run and print; returns the exit status (2 flags, 3 preconditions)."""
-    parser = build_parser()
+    parser, leaves = build_parser()
     argv = list(argv)
     for i in range(len(argv) - 1, 0, -1):  # argparse reads -1,0,0,2 as an option
         flag, val = argv[i - 1], argv[i]
         if flag in ("--v", "--w", "--vector", "--H0") and val[:1] == "-" and val[1:2].isdigit():
             argv[i - 1 : i + 1] = [f"{flag}={val}"]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, leaves, argv)
         # argparse before Python 3.12 parses "--flag=--" to an empty list
         for name, value in vars(args).items():
             if value == [] or (isinstance(value, list) and [] in value):

@@ -46,6 +46,10 @@ def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[Equali
     Canonical form: l1 < l2, or l1 == l2 and b1 <= b2 (the two rays play
     symmetric roles).  The scan runs in (l1, l2, q, b1, b2) order, so the
     output is sorted by those fields.
+
+    For fixed (l1, l2, q, b1) the left side never falls as b2 grows: a step
+    of b2 adds b1*q >= 1, and as l2 | m, floor(b2*l2/m) grows by at most 1.
+    So each b2 run stops at the first b2 whose left side overshoots target.
     """
     if m not in (2, 3, 4, 6):
         raise PreconditionError(f"m must be one of 2, 3, 4, 6, got {m}")
@@ -64,7 +68,10 @@ def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[Equali
                     continue
                 for b1 in range(1, bound + 1):
                     for b2 in range(b1 if l1 == l2 else 1, bound + 1):
-                        if _floor_lhs(m, l1, l2, q, b1, b2) == target:
+                        lhs = _floor_lhs(m, l1, l2, q, b1, b2)
+                        if lhs > target:
+                            break
+                        if lhs == target:
                             out.append(EqualityCase(m, l1, l2, q, b1, b2, target))
     return out
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -742,7 +743,11 @@ def _argvs(draw):
     return argv
 
 
-@given(st.integers(0, 4).flatmap(lambda i: _argvs() if i < 4 else st.lists(_JUNK, max_size=4)))
+# four draws in five follow the grammar, the fifth is junk alone
+_FUZZED_ARGV = st.integers(0, 4).flatmap(lambda i: _argvs() if i < 4 else st.lists(_JUNK, max_size=4))
+
+
+@given(_FUZZED_ARGV)
 @example(["pair", "--type=1", "--v=0,0,0,0", "--w=--"])
 @example(["wall", "slice", "--type=1", "--v=1,0,0,-1", "--w=0,0,0,-1", "--H0=1,1", "--emit-samples=--"])
 @example(["atlas", "--type=1", "--bounds=0,0,0,1", "--w=0,0,0,1", "--w=--"])
@@ -758,3 +763,71 @@ def test_fuzzed_argv_ends_in_a_named_exit(argv):
             code = run_command(argv)
     assert code in (0, 2, 3), argv
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# dispatch: one parse by the leaf parser that argv's command words name
+# stands for argparse's nested parse through the top parser
+
+
+def _parse_outcome(parse, argv):
+    """(namespace less the command dests, SystemExit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    ns, code = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            ns = {k: v for k, v in vars(parse(argv)).items() if k != "command" and not k.endswith("_command")}
+        except SystemExit as e:
+            code = e.code
+    return ns, code, out.getvalue(), err.getvalue()
+
+
+@given(_FUZZED_ARGV)
+@example(["-h"])
+@example(["info", "-h"])
+@example(["pair", "-h"])
+@example(["reduce", "-h"])
+@example(["wall", "classify", "-h"])
+@example(["wall", "slice", "-h"])
+@example(["moduli", "report", "-h"])
+@example(["oracle", "cases", "-h"])
+@example(["atlas", "-h"])
+@example(["wall"])
+@example(["wall", "--help"])
+@example(["info", "classify"])
+@example(["wall", "classify", "--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,1", "junk", "--nope"])
+@example(["reduce", "--vec", "1,0,0,0"])
+@example(["pair", "--w=--"])
+@settings(max_examples=400, deadline=None)
+def test_dispatch_matches_nested_parse(argv):
+    parser, leaves = cli.build_parser()
+    nested = _parse_outcome(parser.parse_args, argv)
+    assert _parse_outcome(lambda a: cli._parse(parser, leaves, a), argv) == nested
+
+
+_LEAF_CALLS = {
+    ("info",): ["--type", "1"],
+    ("pair",): ["--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,1"],
+    ("reduce",): ["--type", "1", "--vector", "2,1,0,0"],
+    ("wall", "classify"): ["--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,1"],
+    ("wall", "slice"): ["--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,1", "--H0", "1,1"],
+    ("moduli", "report"): ["--type", "1", "--vector", "1,0,0,-1"],
+    ("oracle", "cases"): ["--m", "2", "--target", "0", "--bound", "2"],
+    ("atlas",): ["--type", "1", "--bounds", "0,0,0,1", "--w", "0,0,0,1"],
+}
+
+
+@pytest.mark.parametrize("words", list(_LEAF_CALLS), ids=" ".join)
+def test_a_call_is_one_parse(monkeypatch, capsys, words):
+    calls = 0
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert run_command([*words, *_LEAF_CALLS[words]]) == 0
+    assert calls == 1
+    assert set(cli.build_parser()[1]) == set(_LEAF_CALLS)

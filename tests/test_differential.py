@@ -1,4 +1,5 @@
-"""Smoke tests of scripts/differential.py on a small part of its wall list."""
+"""Smoke tests of scripts/differential.py on a small part of its wall list
+and all of its reductions and CLI calls."""
 
 import shutil
 import subprocess
@@ -19,6 +20,7 @@ def test_self_comparison_finds_no_difference():
     run = differential(ROOT / "src")
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.startswith("differential: 200 walls (")
+    assert " and 1000 cli calls, " in run.stdout
     assert " 0 differences against " in run.stdout
 
 
@@ -38,3 +40,12 @@ def test_a_changed_step_name_is_reported(tmp_path):
     run = differential(tmp_path)
     assert run.returncode == 1
     assert " 0 differences " not in run.stdout and "reduction [" in run.stderr
+
+
+def test_a_changed_usage_line_is_reported(tmp_path):
+    shutil.copytree(ROOT / "src" / "bielliptic", tmp_path / "bielliptic")
+    cli = tmp_path / "bielliptic" / "cli.py"
+    cli.write_text(cli.read_text().replace('prog="bielliptic"', 'prog="bielliptic2"'))
+    run = differential(tmp_path)
+    assert run.returncode == 1
+    assert " 0 differences " not in run.stdout and "cli [" in run.stderr

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 
+from bielliptic import oracle
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import MukaiVector, square
 from bielliptic.oracle import EqualityCase, enumerate_equality_cases, min_codim_oracle
@@ -99,6 +100,22 @@ class TestEqualityCases:
     def test_scan_matches_construct_then_filter(self, m, target):
         for bound in range(1, 13):
             assert enumerate_equality_cases(m, target, bound) == _reference_cases(m, target, bound)
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_scan_stops_each_b2_run_past_target(self, monkeypatch, target):
+        # the full grid at the CLI cap is 2,985,560 evaluations; stopping each
+        # b2 run at its first overshoot leaves about 44,000
+        calls = 0
+        floor_lhs = oracle._floor_lhs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return floor_lhs(*args)
+
+        monkeypatch.setattr(oracle, "_floor_lhs", counted)
+        enumerate_equality_cases(6, target, bound=80)
+        assert calls <= 50_000
 
     def test_bad_arguments(self):
         with pytest.raises(PreconditionError):
