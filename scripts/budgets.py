@@ -7,13 +7,13 @@ fresh child process and print its wall time and peak RSS.
 Each case is one `bielliptic.cli.run_command` call in a new interpreter, so
 no parser, memo or allocator state carries over from an earlier case.  Per
 run it prints the exit status, the wall seconds from spawn to exit, the
-seconds inside `run_command` (the child writes them to stderr), the peak
-RSS in MB, and the size and SHA-256 of what the call wrote (its stdout, or
-the `--out` CSV of `atlas`).  The peak is the child's own `ru_maxrss`, read
-with `os.wait4`: the rusage that `resource.getrusage(RUSAGE_CHILDREN)`
-accumulates, but for that child alone, where RUSAGE_CHILDREN keeps the
-largest child so far.  `--src` runs another checkout's library, so two
-trees can be compared on the same inputs.  Standard library only; Linux.
+seconds inside `run_command` and the peak RSS in MB (the child writes both
+to stderr), and the size and SHA-256 of what the call wrote (its stdout, or
+the `--out` CSV of `atlas`).  The peak is the child's own `VmHWM`, read
+from /proc/self/status just before it exits: its `ru_maxrss` would start
+from this script's high-water mark, which a spawned child inherits at exec.
+`--src` runs another checkout's library, so two trees can be compared on
+the same inputs.  Standard library only; Linux.
 """
 
 import argparse
@@ -63,7 +63,10 @@ from bielliptic.cli import run_command
 start = time.perf_counter()
 code = run_command(sys.argv[2:])
 sys.stdout.flush()
-print(f"{time.perf_counter() - start:.4f}", file=sys.stderr)
+elapsed = time.perf_counter() - start
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(f"{elapsed:.4f} {peak_kb}", file=sys.stderr)
 sys.exit(code)
 """
 
@@ -79,18 +82,18 @@ def run_case(src: str, argv: list[str], tmp: Path) -> dict:
     ]
     start = time.perf_counter()
     pid = os.posix_spawn(sys.executable, [sys.executable, "-c", CHILD, src, *argv], os.environ, file_actions=actions)
-    _, status, usage = os.wait4(pid, 0)
+    _, status = os.waitpid(pid, 0)
     wall = time.perf_counter() - start
     written = (out_csv if out_csv.exists() else stdout).read_bytes()
     try:
-        command_s = float(stderr.read_text().split()[-1])
-    except (IndexError, ValueError):  # the child died before it timed its call
-        command_s = float("nan")
+        command_s, peak_kb = map(float, stderr.read_text().split()[-2:])
+    except ValueError:  # the child died before it timed its call
+        command_s = peak_kb = float("nan")
     return {
         "exit": os.waitstatus_to_exitcode(status),
         "wall_s": wall,
         "command_s": command_s,
-        "peak_mb": usage.ru_maxrss / 1024,  # kilobytes on Linux
+        "peak_mb": peak_kb / 1024,
         "bytes": len(written),
         "sha256": hashlib.sha256(written).hexdigest(),
     }

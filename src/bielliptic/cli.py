@@ -28,7 +28,7 @@ MAX_EMIT_SAMPLES = 10_000  # points `wall slice --emit-samples` may ask for
 MAX_ATLAS_VECTORS = 100_000  # vectors in the `atlas --bounds` box
 MAX_ATLAS_SQUARE = 256  # largest v^2 in that box; a wall's weight walk is at worst linear in it
 MAX_ATLAS_GENERATORS = 8  # `atlas --w` flags; each one is a sweep of the box
-MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is quadratic in it
+MAX_ORACLE_BOUND = 80  # `oracle cases --bound`; the scan is linear in it
 # v^2 of `wall classify --v`: the witness walk is linear in it, and so is the weight
 # walk when the best weight lies far below v^2/2; a wall with no positive class up
 # to v^2/2 reads no line

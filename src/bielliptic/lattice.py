@@ -6,32 +6,21 @@ pairing <v, w> = (a*b' + a'*b) - r*s' - r'*s.  Entries are ints, except where
 a stability parameter makes them fractions.Fraction; never floats.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from bielliptic.errors import PreconditionError
 from bielliptic.surfaces import surface_invariants
+from bielliptic.values import Value
 
 
-class DivisorClass:
-    """Divisor class a*A0 + b*B0 in Num(S), ints or Fractions; immutable by convention."""
+class DivisorClass(Value):
+    """Divisor class a*A0 + b*B0 in Num(S), ints or Fractions."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int):
         self.a = a
         self.b = b
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        return f"DivisorClass(a={self.a!r}, b={self.b!r})"
 
     def dot(self, other: "DivisorClass") -> int:
         return self.a * other.b + other.a * self.b
@@ -44,13 +33,11 @@ class DivisorClass:
         return self.a > 0 and self.b > 0
 
 
-class MukaiVector:
+class MukaiVector(Value):
     """Mukai vector (r, a*A0 + b*B0, s) = (rank, c1, ch2 term).
 
     Four ints, or Fractions where a stability parameter made it; content,
     is_primitive, primitive_part, text and parse need integral entries.
-    Immutable by convention: nothing assigns to r, a, b or s after
-    construction, which equality and hashing rely on.
     """
 
     __slots__ = ("r", "a", "b", "s")
@@ -64,14 +51,6 @@ class MukaiVector:
     @classmethod
     def of(cls, r: int, a: int, b: int, s: int) -> "MukaiVector":
         return cls(r, a, b, s)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.r == other.r and self.a == other.a and self.b == other.b and self.s == other.s
-
-    def __hash__(self) -> int:
-        return hash((self.r, self.a, self.b, self.s))
 
     def __repr__(self) -> str:
         return f"MukaiVector({self.r}, {self.a}, {self.b}, {self.s})"
@@ -166,19 +145,17 @@ def primitive_isotropic_in_series(r: int, D: DivisorClass) -> MukaiVector:
 # canonical cover
 
 
-@dataclass(frozen=True)
-class CoverMukaiVector:
+class CoverMukaiVector(Value):
     """Mukai vector (r, alpha*A_X + beta*B_X, s) on the canonical cover X.
 
     The cover intersection form has A_X.B_X = lam, so
     <u, u'> = lam*(alpha*beta' + alpha'*beta) - r*s' - r'*s.
     """
 
-    r: int
-    alpha: int
-    beta: int
-    s: int
-    lam: int
+    __slots__ = ("r", "alpha", "beta", "s", "lam")
+
+    def __init__(self, r: int, alpha: int, beta: int, s: int, lam: int):
+        self.r, self.alpha, self.beta, self.s, self.lam = r, alpha, beta, s, lam
 
     def pairing(self, other: "CoverMukaiVector") -> int:
         if self.lam != other.lam:

@@ -11,7 +11,6 @@ condition-labelled cases; cases whose decidable necessary divisibility
 fails for the given class are pruned.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from enum import Enum
 
@@ -19,15 +18,21 @@ from bielliptic.errors import PreconditionError
 from bielliptic.lattice import MukaiVector, l_invariant, l_invariant_any, square
 from bielliptic.surfaces import surface_invariants
 from bielliptic.transforms import ExceptionalKind, detect_exceptional
+from bielliptic.values import Value
 
 
-@dataclass(frozen=True)
-class NonEmptinessReport:
-    muss_nonempty: bool
-    mus_nonempty: bool
-    stable_dimension: int | None
-    exceptional: ExceptionalKind | None
-    notes: tuple[str, ...]
+class NonEmptinessReport(Value):
+    __slots__ = ("muss_nonempty", "mus_nonempty", "stable_dimension", "exceptional", "notes")
+
+    def __init__(
+        self, muss_nonempty: bool, mus_nonempty: bool, stable_dimension: int | None,
+        exceptional: ExceptionalKind | None, notes: tuple[str, ...],
+    ):
+        self.muss_nonempty = muss_nonempty
+        self.mus_nonempty = mus_nonempty
+        self.stable_dimension = stable_dimension
+        self.exceptional = exceptional
+        self.notes = notes
 
 
 _POSITIVE_NOTES = (
@@ -104,16 +109,20 @@ class SingClass(Enum):
     POSSIBLY_NON_NORMAL = "PossiblyNonNormal"
 
 
-@dataclass(frozen=True)
-class SingularityCase:
-    condition: str
-    klass: SingClass
+class SingularityCase(Value):
+    __slots__ = ("condition", "klass")
+
+    def __init__(self, condition: str, klass: SingClass):
+        self.condition = condition
+        self.klass = klass
 
 
-@dataclass(frozen=True)
-class SingularityReport:
-    cases: tuple[SingularityCase, ...]
-    sing_dim_bound: Fraction
+class SingularityReport(Value):
+    __slots__ = ("cases", "sing_dim_bound")
+
+    def __init__(self, cases: tuple[SingularityCase, ...], sing_dim_bound: Fraction):
+        self.cases = cases
+        self.sing_dim_bound = sing_dim_bound
 
 
 # rows below the terminal threshold, keyed on (ord_k, v^2); an entry is

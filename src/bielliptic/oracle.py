@@ -6,11 +6,11 @@ the oracle works on raw 4-tuples with its own pairing and its own search,
 so agreement between the two paths is meaningful.
 """
 
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 from bielliptic.errors import PreconditionError
 from bielliptic.surfaces import surface_invariants
+from bielliptic.values import Value
 
 MAX_PARTS = 4  # most parts of a decomposition the search assembles (classify_wall's default)
 
@@ -19,8 +19,7 @@ def _floor_lhs(m: int, l1: int, l2: int, q: int, b1: int, b2: int) -> int:
     return -((b1 * l1) // m) - ((b2 * l2) // m) + b1 * b2 * q
 
 
-@dataclass(frozen=True)
-class EqualityCase:
+class EqualityCase(Value):
     """One solution of the floor equation governing zero/one-codimension
     strata built from two isotropic rays u1, u2 (l1 <= l2 by convention).
 
@@ -31,13 +30,10 @@ class EqualityCase:
     right-hand pairing).
     """
 
-    m: int
-    l1: int
-    l2: int
-    q: int
-    b1: int
-    b2: int
-    target: int
+    __slots__ = ("m", "l1", "l2", "q", "b1", "b2", "target")
+
+    def __init__(self, m: int, l1: int, l2: int, q: int, b1: int, b2: int, target: int):
+        self.m, self.l1, self.l2, self.q, self.b1, self.b2, self.target = m, l1, l2, q, b1, b2, target
 
 
 def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[EqualityCase]:
@@ -50,6 +46,11 @@ def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[Equali
     For fixed (l1, l2, q, b1) the left side never falls as b2 grows: a step
     of b2 adds b1*q >= 1, and as l2 | m, floor(b2*l2/m) grows by at most 1.
     So each b2 run stops at the first b2 whose left side overshoots target.
+    A run's first left side, at b2 = 1 (l1 < l2) or b2 = b1 (l1 = l2), never
+    falls as b1 grows either: a step of b1 adds q >= 1 (l1 < l2) or
+    (2*b1 + 1)*q >= 3 (l1 = l2), and as l1 | m each floor grows by at most 1;
+    so an overshoot at a run's first b2 ends the b1 loop.  At b1 = b2 = 1 the
+    left side is q minus a constant, so an overshoot there ends the q loop.
     """
     if m not in (2, 3, 4, 6):
         raise PreconditionError(f"m must be one of 2, 3, 4, 6, got {m}")
@@ -67,12 +68,17 @@ def enumerate_equality_cases(m: int, target: int, bound: int = 8) -> list[Equali
                 if (m * q) % (l1 * l2) != 0:
                     continue
                 for b1 in range(1, bound + 1):
-                    for b2 in range(b1 if l1 == l2 else 1, bound + 1):
+                    first = b1 if l1 == l2 else 1
+                    for b2 in range(first, bound + 1):
                         lhs = _floor_lhs(m, l1, l2, q, b1, b2)
                         if lhs > target:
                             break
                         if lhs == target:
                             out.append(EqualityCase(m, l1, l2, q, b1, b2, target))
+                    if lhs > target and b2 == first:
+                        break  # a run's first b2 overshot: so does every later b1's
+                if lhs > target and b1 == b2 == 1:
+                    break  # and at b1 = 1: so does every later q's
     return out
 
 

@@ -8,31 +8,33 @@ where the vanishing of Im(Z(w) * conj(Z(v))) / y is the circle/line
     alpha * (x^2 + y^2) + beta * x + gamma = 0.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from bielliptic.errors import DegenerateChargeError, PreconditionError
 from bielliptic.lattice import DivisorClass, MukaiVector, plane_key
 from bielliptic.surfaces import surface_invariants
+from bielliptic.values import Value
 
 
-@dataclass(frozen=True)
-class GeometricStability:
+class GeometricStability(Value):
     """A pair (beta, omega) of rational divisor classes with omega ample."""
 
-    beta: DivisorClass
-    omega: DivisorClass
+    __slots__ = ("beta", "omega")
 
-    def __post_init__(self):
-        if not self.omega.is_ample():
-            raise PreconditionError(f"omega must be ample, got {self.omega}")
+    def __init__(self, beta: DivisorClass, omega: DivisorClass):
+        if not omega.is_ample():
+            raise PreconditionError(f"omega must be ample, got {omega}")
+        self.beta = beta
+        self.omega = omega
 
 
-@dataclass(frozen=True)
-class ComplexRational:
-    re: Fraction
-    im: Fraction
+class ComplexRational(Value):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction, im: Fraction):
+        self.re = re
+        self.im = im
 
     def conj(self) -> "ComplexRational":
         return ComplexRational(self.re, -self.im)
@@ -64,13 +66,15 @@ def central_charge(t: int, v: MukaiVector, sigma: GeometricStability) -> Complex
 # wall loci in the (x, y) slice
 
 
-@dataclass(frozen=True)
-class QuadraticLocus:
+class QuadraticLocus(Value):
     """alpha*(x^2 + y^2) + beta*x + gamma = 0, content 1, alpha >= 0."""
 
-    alpha: int
-    beta: int
-    gamma: int
+    __slots__ = ("alpha", "beta", "gamma")
+
+    def __init__(self, alpha: int, beta: int, gamma: int):
+        self.alpha = alpha
+        self.beta = beta
+        self.gamma = gamma
 
 
 EVERYWHERE = "everywhere"

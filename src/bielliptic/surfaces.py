@@ -6,17 +6,18 @@ multiplicities of the singular fibres of the P^1-fibration.  These are
 fixed constants; there is nothing to configure.
 """
 
-from dataclasses import dataclass
-
 from bielliptic.errors import InvalidSurfaceError
+from bielliptic.values import Value
 
 
-@dataclass(frozen=True)
-class SurfaceData:
-    ord_k: int
-    lam: int
-    g_order: int
-    multiplicities: tuple[int, ...]
+class SurfaceData(Value):
+    __slots__ = ("ord_k", "lam", "g_order", "multiplicities")
+
+    def __init__(self, ord_k: int, lam: int, g_order: int, multiplicities: tuple[int, ...]):
+        self.ord_k = ord_k
+        self.lam = lam
+        self.g_order = g_order
+        self.multiplicities = multiplicities
 
 
 _TABLE: dict[int, SurfaceData] = {

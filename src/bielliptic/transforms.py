@@ -26,26 +26,16 @@ from enum import Enum
 from bielliptic.errors import PreconditionError, ReductionBudgetError
 from bielliptic.lattice import DivisorClass, MukaiVector, square
 from bielliptic.surfaces import surface_invariants
+from bielliptic.values import Value
 
 
-class TwistBy:
-    """Twist by the line bundle of class D; immutable by convention."""
+class TwistBy(Value):
+    """Twist by the line bundle of class D."""
 
     __slots__ = ("D",)
 
     def __init__(self, D: DivisorClass):
         self.D = D
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.D == other.D
-
-    def __hash__(self) -> int:
-        return hash(self.D)
-
-    def __repr__(self) -> str:
-        return f"TwistBy(D={self.D!r})"
 
     def describe(self) -> dict:
         return _twist_json(self.D.a, self.D.b)
@@ -139,7 +129,7 @@ def apply_transform(t: int, step: TransformStep, v: MukaiVector) -> MukaiVector:
     return MukaiVector(*_act(step, lam, ordk, v.r, v.a, v.b, v.s))
 
 
-class TransformLog:
+class TransformLog(Value):
     """Replayable sequence of steps; replay(t, v) reproduces the output.
 
     A twist is held as its (a, b) int pair and an atom as itself; the
@@ -174,20 +164,18 @@ class TransformLog:
 
     def to_json(self) -> list[dict]:
         """One item per step, as step_from_json reads it.  The items are
-        read-only: an atom's item is one dict shared by every log."""
-        return [_twist_json(*item) if item.__class__ is tuple else item.describe() for item in self._items]
+        read-only: an atom's item is one dict shared by every log, and a
+        twist's one dict shared by every twist of its (a, b) in this list."""
+        twists: dict = {}
+        return [
+            (twists.get(item) or twists.setdefault(item, _twist_json(*item))) if item.__class__ is tuple
+            else item.describe()
+            for item in self._items
+        ]
 
     @classmethod
     def from_json(cls, items: list[dict]) -> "TransformLog":
         return cls(step_from_json(item) for item in items)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
 
     def __repr__(self) -> str:
         return f"TransformLog(steps={self.steps!r})"

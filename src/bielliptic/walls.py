@@ -13,7 +13,6 @@ classify_key each ray of a wall_key once; both share the clauses
 wall no ray labels (_refined).
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, isqrt
@@ -28,6 +27,7 @@ from bielliptic.lattice import (
 )
 from bielliptic.linalg import ext_gcd, saturation_basis
 from bielliptic.surfaces import surface_invariants
+from bielliptic.values import Value
 
 # classification labels
 HILBERT_CHOW = "HilbertChowDivisorial"
@@ -42,11 +42,10 @@ NO_WALL = "NoWall"
 INDETERMINATE = "IndeterminateNonPrimitive"
 
 
-class HyperbolicPair:
+class HyperbolicPair(Value):
     """Saturated rank-2 sublattice of signature (1,-1) containing v: a basis
     of (r, a, b, s) int tuples, wall_plane's (gram, rays) of it, and v's
-    coordinates, v = vxy[0] * basis[0] + vxy[1] * basis[1].  Immutable by
-    convention: nothing assigns to a field after construction."""
+    coordinates, v = vxy[0] * basis[0] + vxy[1] * basis[1]."""
 
     __slots__ = ("surface", "v", "basis", "gram", "rays", "vxy")
 
@@ -65,23 +64,6 @@ class HyperbolicPair:
         self.gram = gram
         self.rays = rays
         self.vxy = vxy
-
-    def _fields(self) -> tuple:
-        return (self.surface, self.v, self.basis, self.gram, self.rays, self.vxy)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"HyperbolicPair(surface={self.surface!r}, v={self.v!r}, basis={self.basis!r}, "
-            f"gram={self.gram!r}, rays={self.rays!r}, vxy={self.vxy!r})"
-        )
 
     def det(self) -> int:
         (g11, g12), (_, g22) = self.gram
@@ -396,18 +378,22 @@ def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] 
     return tuple(MukaiVector(*rabs[c]) for c in first)
 
 
-@dataclass(eq=False)
 class WallClassification:
     """`found` maps each label to its witnesses, the rays that fired it in
     the order of u, or to None for the Flopping / FakeWall witness, which
     `witnesses` walks for when first read; a caller that reads only the
-    labels and the bound never pays for it.  Immutable by convention."""
+    labels and the bound never pays for it.  A `codim_bound` of None encodes
+    +infinity (no decomposition).  Immutable by convention."""
 
-    H: HyperbolicPair
-    max_parts: int
-    tss_witness: MukaiVector | None
-    found: dict[str, tuple[MukaiVector, ...] | None]
-    codim_bound: int | None  # None encodes +infinity (no decomposition)
+    def __init__(
+        self, H: HyperbolicPair, max_parts: int, tss_witness: MukaiVector | None,
+        found: dict[str, tuple[MukaiVector, ...] | None], codim_bound: int | None,
+    ):
+        self.H = H
+        self.max_parts = max_parts
+        self.tss_witness = tss_witness
+        self.found = found
+        self.codim_bound = codim_bound
 
     @property
     def totally_semistable(self) -> bool:

@@ -117,6 +117,22 @@ class TestEqualityCases:
         enumerate_equality_cases(6, target, bound=80)
         assert calls <= 50_000
 
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_scan_stops_the_b1_and_q_loops_past_target(self, monkeypatch, target):
+        # a first-b2 overshoot also ends the b1 loop, and at b1 = 1 the q loop:
+        # 91 evaluations at the CLI cap, where stopping only the b2 runs makes 43,679
+        calls = 0
+        floor_lhs = oracle._floor_lhs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return floor_lhs(*args)
+
+        monkeypatch.setattr(oracle, "_floor_lhs", counted)
+        enumerate_equality_cases(6, target, bound=80)
+        assert calls <= 200
+
     def test_bad_arguments(self):
         with pytest.raises(PreconditionError):
             enumerate_equality_cases(5, 0)

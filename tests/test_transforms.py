@@ -193,6 +193,17 @@ class TestLogs:
         assert peak < 16 * len(log)
         assert items[0] is items[1] == {"step": "phi_inv", "params": None}
 
+    @pytest.mark.parametrize("name", ["twist_each_phi_inv", "twist_0_-1_then_psi", "stuck_type6"])
+    def test_json_shares_one_item_per_distinct_twist(self, name):
+        # twist_each_phi_inv: 999 twists of 176 distinct (a, b) between 999 phi_inv steps
+        t, text = REFERENCE_BRANCHES[name]
+        _, log = reduce_to_table(t, MukaiVector.parse(text))
+        items = log.to_json()
+        pairs = {(it["params"]["a"], it["params"]["b"]) for it in items if it["step"] == "twist"}
+        atoms = {it["step"] for it in items if it["step"] != "twist"}
+        assert len({id(it) for it in items}) == len(pairs) + len(atoms)
+        assert TransformLog.from_json(items) == log
+
     @pytest.mark.parametrize(
         "item",
         [
