@@ -47,6 +47,11 @@ CASES = [  # (name, argv); "{out}" is a path in a fresh directory
      ["wall", "classify", "--type", "1", "--v=3,2,-2,-49998", "--w", "1,0,0,0", "--json"]),
     ("wall NoWall 1,0,0,-149998 --json",
      ["wall", "classify", "--type", "1", "--v=1,0,0,-149998", "--w", "0,1,-1,1", "--json"]),
+    # MAX_EMIT_SAMPLES on the circle x^2 + y^2 = 147, which holds the whole
+    # scan box |x| <= 12 and no rational point: all 1,884 x values are tried
+    ("wall slice x^2+y^2=147 --emit-samples 10000",
+     ["wall", "slice", "--type", "1", "--v", "1,0,0,147", "--w", "0,1,0,0", "--H0", "1,1",
+      "--emit-samples", "10000", "--json"]),
     # MAX_REDUCE_RANK and MAX_ORACLE_BOUND
     ("reduce 1000000,1,0,0", ["reduce", "--type", "1", "--vector", "1000000,1,0,0"]),
     ("reduce 1000000,1,0,0 --json", ["reduce", "--type", "1", "--vector", "1000000,1,0,0", "--json"]),

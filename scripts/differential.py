@@ -28,8 +28,11 @@ branch of the reduction loop.  The CLI calls are 1,000 argv drawn from
 every subcommand but atlas: about 700 valid ones, --json or not, and 300
 invalid ones (an unknown or trailing flag, an abbreviated flag, -h, a
 missing command word, a bad value), plus -h on the top parser and on each
-command.  --walls N compares N walls spread evenly over the wall list,
-every reduction and every call.  Standard library only.
+command; then 200 `wall slice` calls with vector entries up to about 10^6
+and --emit-samples 1 to 12, half of them on a circle through a rational
+point of the sample scan's box (slice_list).  --walls N compares N walls
+spread evenly over the wall list, every reduction and every call.
+Standard library only.
 """
 
 import argparse
@@ -228,6 +231,31 @@ def cli_list() -> list:
     return calls
 
 
+def _wide_vector(rng: random.Random) -> tuple:
+    return tuple(rng.randint(lo, 10**6) for lo in (0, -10**6, -10**6, -10**6))
+
+
+def slice_list() -> list:
+    """200 `wall slice` calls with v's entries up to 10^6 and 1 to 12
+    samples.  Half take a w of the same size; the other half take
+    w = v + (q^2, 2pq, 0, p^2 + m^2), whose circle at H0 = 1,1 passes
+    through the point (p/q, m/q) of the scan box."""
+    rng = random.Random(11)
+    calls = []
+    for i in range(200):
+        v, h0 = _wide_vector(rng), f"{rng.randint(1, 3)},{rng.randint(1, 3)}"
+        if i % 2:
+            w = _wide_vector(rng)
+        else:
+            q = rng.randint(1, 12)
+            p, m = rng.randint(-12 * q, 12 * q), rng.randint(1, 12 * q)
+            w, h0 = tuple(x + y for x, y in zip(v, (q * q, 2 * p * q, 0, p * p + m * m))), "1,1"
+        calls.append(["wall", "slice", "--type", str(rng.randint(1, 7)), "--v", ",".join(map(str, v)),
+                      "--w", ",".join(map(str, w)), "--H0", h0, "--emit-samples", str(rng.randint(1, 12)),
+                      *(["--json"] if rng.random() < 0.5 else [])])
+    return calls
+
+
 def src_of(path: str) -> str:
     """The src directory of a checkout, or path itself when it holds the library."""
     p = Path(path).resolve()
@@ -245,12 +273,15 @@ def main() -> None:
     if args.walls is not None and args.walls < len(walls):
         walls = [walls[i * len(walls) // args.walls] for i in range(args.walls)]
     reductions = reduction_list()
-    calls = cli_list()
-    cases = [f"wall {w}" for w in walls] + [f"reduction {red}" for red in reductions] + [f"cli {c}" for c in calls]
+    calls, slices = cli_list(), slice_list()
+    cases = (
+        [f"wall {w}" for w in walls] + [f"reduction {red}" for red in reductions]
+        + [f"cli {c}" for c in calls + slices]
+    )
     trees = [str(ROOT / "src"), src_of(args.against)]
     with tempfile.TemporaryDirectory() as tmp:
         case_file = Path(tmp) / "cases.json"
-        case_file.write_text(json.dumps([walls, reductions, calls]))
+        case_file.write_text(json.dumps([walls, reductions, calls + slices]))
         start = time.perf_counter()
         outs = [open(Path(tmp) / f"out{i}", "w+") for i in range(2)]
         children = [
@@ -279,7 +310,7 @@ def main() -> None:
     print(f"differential: {len(walls)} walls ({errors} rejected, "
           f"{sum(square(v) <= WITNESS_SQUARE for _, v, _ in walls)} with witnesses, "
           f"v^2 up to {max(square(v) for _, v, _ in walls)}), {len(reductions)} reductions "
-          f"and {len(calls)} cli calls, "
+          f"and {len(calls)} cli calls, {len(slices)} wide wall slice calls, "
           f"{len(diffs)} differences "
           f"against {trees[1]}, {seconds:.2f} s")
     sys.exit(1 if diffs else 0)

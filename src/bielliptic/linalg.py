@@ -27,7 +27,8 @@ def unit_dual(p: tuple[int, ...] | list[int]) -> list[int]:
     y, g = [0] * len(p), 0
     for i, px in enumerate(p):
         g, a, b = ext_gcd(g, px)
-        y = [a * yx for yx in y]
+        if a != 1:
+            y = [a * yx for yx in y]
         y[i] = b
         if g == 1:
             break
@@ -43,12 +44,13 @@ def saturation_basis(rows: list[list[int]]) -> list[list[int]]:
     comes back when the rows are linearly dependent (u = 0), and nothing
     when v = 0.
     """
-    v, w = rows
-    c = gcd(*v)
+    (v0, v1, v2, v3), (w0, w1, w2, w3) = rows
+    c = gcd(v0, v1, v2, v3)
     if c == 0:
         return []
-    p = [x // c for x in v]
-    yw = sum(a * b for a, b in zip(unit_dual(p), w))
-    u = [wx - yw * px for px, wx in zip(p, w)]
-    d = gcd(*u)
-    return [p, [x // d for x in u]] if d else [p]
+    p0, p1, p2, p3 = p = [v0 // c, v1 // c, v2 // c, v3 // c]
+    y0, y1, y2, y3 = unit_dual(p)
+    yw = y0 * w0 + y1 * w1 + y2 * w2 + y3 * w3
+    u0, u1, u2, u3 = w0 - yw * p0, w1 - yw * p1, w2 - yw * p2, w3 - yw * p3
+    d = gcd(u0, u1, u2, u3)
+    return [p, [u0 // d, u1 // d, u2 // d, u3 // d]] if d else [p]

@@ -132,20 +132,27 @@ def locus_samples(locus: WallLocus, count: int) -> list[tuple[Fraction, Fraction
     order: y^2 = n / (alpha*den)^2 with
     n = -alpha * (alpha*num^2 + beta*num*den + gamma*den^2), so y is a
     positive rational iff n > 0 is a perfect square, and then
-    y = isqrt(n) / (alpha*den).  May return fewer than requested (a
-    rational circle need not have rational points).
+    y = isqrt(n) / (alpha*den).  n > 0 iff (2*alpha*num + beta*den)^2 <
+    disc*den^2, disc = beta^2 - 4*alpha*gamma, so only the nums inside the
+    circle are scanned (alpha > 0), and none when disc <= 0.  May return
+    fewer than requested (a rational circle need not have rational points).
     """
-    if count <= 0 or locus == NOWHERE:
+    if count <= 0:
         return []
-    if locus == EVERYWHERE:
-        return [(Fraction(k), Fraction(1)) for k in range(count)]
+    if isinstance(locus, str):  # EVERYWHERE or NOWHERE
+        return [(Fraction(k), Fraction(1)) for k in range(count)] if locus == EVERYWHERE else []
     alpha, beta, gamma = locus.alpha, locus.beta, locus.gamma
     if alpha == 0:
         x = Fraction(-gamma, beta)
         return [(x, Fraction(k)) for k in range(1, count + 1)]
+    disc = beta * beta - 4 * alpha * gamma
+    if disc <= 0:  # no x has y^2 > 0
+        return []
     out: list[tuple[Fraction, Fraction]] = []
     for den in range(1, 13):
-        for num in range(-12 * den, 12 * den + 1):
+        r = isqrt(disc * den * den)  # |2*alpha*num + beta*den| <= r
+        for num in range(max(-12 * den, -((beta * den + r) // (2 * alpha))),
+                         min(12 * den, (r - beta * den) // (2 * alpha)) + 1):
             n = -alpha * (alpha * num * num + beta * num * den + gamma * den * den)
             if n <= 0:
                 continue

@@ -114,15 +114,16 @@ def wall_plane(t: int, e1: tuple, e2: tuple):
 def saturate_lattice(t: int, v: MukaiVector, w: MukaiVector) -> HyperbolicPair:
     """Saturation of span{v, w} with its wall_plane data; must be hyperbolic."""
     surface_invariants(t)
-    rows = saturation_basis([v.as_tuple(), w.as_tuple()])
+    r, a, b, s = vt = v.as_tuple()
+    rows = saturation_basis([vt, w.as_tuple()])
     if len(rows) < 2:
         raise PreconditionError(f"{v.text()} and {w.text()} are collinear")
-    v2 = square(v)
+    v2 = 2 * (a * b - r * s)
     if v2 <= 0:
         raise PreconditionError(f"need v^2 > 0, got v^2 = {v2}")
     basis = (tuple(rows[0]), tuple(rows[1]))
     # saturation_basis starts with v / content(v)
-    pair = HyperbolicPair(t, v, basis, *wall_plane(t, *basis), (v.content(), 0))
+    pair = HyperbolicPair(t, v, basis, *wall_plane(t, *basis), (gcd(r, a, b, s), 0))
     if pair.rays is None:
         raise NotHyperbolicError(
             f"span of {v.text()}, {w.text()} has Gram determinant {pair.det()} >= 0"
@@ -134,12 +135,16 @@ def isotropic_rays(H: HyperbolicPair) -> list[tuple[MukaiVector, int, int]]:
     """(u, <v, u>, l(u)) for the 0 or 2 primitive isotropic classes u with
     <v, u> > 0: H.rays oriented towards v, sorted by u, as classify_wall
     reads them, each once."""
+    (g11, g12), (_, g22) = H.gram
+    (vx, vy), ((r1, a1, b1, s1), (r2, a2, b2, s2)) = H.vxy, H.basis
+    cA, cB = g11 * vx + g12 * vy, g12 * vx + g22 * vy  # <v, (x, y)> = cA*x + cB*y
     out = []
     for x, y, l in H.rays:
-        q = H.pair(H.vxy, (x, y))
-        out.append((H.from_coords(x, y), q, l) if q > 0 else (H.from_coords(-x, -y), -q, l))
-    out.sort(key=lambda ray: ray[0].as_tuple())
-    return out
+        if (q := cA * x + cB * y) < 0:
+            x, y, q = -x, -y, -q
+        out.append(((x * r1 + y * r2, x * a1 + y * a2, x * b1 + y * b2, x * s1 + y * s2), q, l))
+    out.sort()  # by u: the two rays' u differ
+    return [(MukaiVector(*u), q, l) for u, q, l in out]
 
 
 def _positive_lines(gram, vxy: tuple[int, int], pairing_cap: int):
@@ -314,12 +319,6 @@ def _weight_walk(ordk: int, gram, vxy: tuple[int, int], v2: int, rays) -> int | 
     if lines is None:  # no positive class on the lines <v, p> <= v^2/2
         return None
     g, (ex, ey), (nx, ny), t_range, j = lines
-    l_of = {(sign * x, sign * y): l for x, y, l, *_ in rays for sign in (1, -1)}
-
-    def w_iso(x: int, y: int) -> int:  # w(p) of an isotropic p = (x, y)
-        b = gcd(x, y)
-        return b * l_of[x // b, y // b] // ordk
-
     most, last = -1, half // g
     while j <= last:
         k = j * g
@@ -331,11 +330,19 @@ def _weight_walk(ordk: int, gram, vxy: tuple[int, int], v2: int, rays) -> int | 
             x, y = j * ex + t * nx, j * ey + t * ny
             sq = g11 * x * x + 2 * g12 * x * y + g22 * y * y
             rest = v2 - 2 * k + sq
-            w = (sq // 2 if sq else w_iso(x, y)) + (rest // 2 if rest else w_iso(vx - x, vy - y))
+            w = (sq // 2 if sq else _w_iso(ordk, rays, x, y)) + (rest // 2 if rest else _w_iso(ordk, rays, vx - x, vy - y))
             if w > most:
                 most = w
         j += 1
     return None if most < 0 else half - most
+
+
+def _w_iso(ordk: int, rays, x: int, y: int) -> int:
+    """w(p) of an isotropic p = (x, y) = b*u, u = +-(X, Y) of a ray in rays."""
+    b = gcd(x, y)
+    for X, Y, l, *_ in rays:
+        if X * y == Y * x:  # (x, y) = +-b*(X, Y)
+            return b * l // ordk
 
 
 def _witness_walk(H: HyperbolicPair, max_parts: int) -> tuple[MukaiVector, ...] | None:
@@ -451,7 +458,7 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
     t = H.surface
     ordk = surface_invariants(t).ord_k
     v = H.v
-    v2 = square(v)
+    v2 = 2 * (v.a * v.b - v.r * v.s)
     if v2 <= 0:
         raise PreconditionError(f"classification needs v^2 > 0, got {v2}")
     if max_parts < 2:
@@ -468,7 +475,7 @@ def classify_wall(H: HyperbolicPair, max_parts: int = 4) -> WallClassification:
             found[label] = found.get(label, ()) + (u,)
     codim = _weight_walk(ordk, H.gram, H.vxy, v2, H.rays)  # None when v has no decomposition
     if not found:  # the Flopping / FakeWall witness is None, walked for when it is read
-        label = _refined(v.is_primitive(), v2, codim)
+        label = _refined(gcd(*H.vxy) == 1, v2, codim)  # H is saturated
         found[label] = None if label in (FLOPPING, FAKE_WALL) else ()
     return WallClassification(H, max_parts, first.get(1, first.get(2)), found, codim)
 

@@ -1,8 +1,8 @@
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from bielliptic.errors import DegenerateChargeError, PreconditionError
@@ -18,6 +18,7 @@ from bielliptic.stability import (
     slice_charge,
     wall_in_slice,
 )
+from bielliptic.values import Value
 
 from conftest import mukai_vectors, surface_types
 
@@ -149,6 +150,74 @@ class TestLocusSamples:
         locus = QuadraticLocus(alpha, beta, gamma)
         # [:count]: the first scan returned its first point even for count 0
         assert locus_samples(locus, count) == _reference_circle_samples(locus, count)[:count]
+
+
+def _full_scan_circle_samples(locus, count):
+    """The circle branch of locus_samples before it bounded num to the
+    circle: every x = num/den with den = 1..12 and |x| <= 12, in order."""
+    alpha, beta, gamma = locus.alpha, locus.beta, locus.gamma
+    out = []
+    for den in range(1, 13):
+        for num in range(-12 * den, 12 * den + 1):
+            n = -alpha * (alpha * num * num + beta * num * den + gamma * den * den)
+            if n <= 0:
+                continue
+            root = isqrt(n)
+            if root * root == n and gcd(num, den) == 1:
+                out.append((Fraction(num, den), Fraction(root, alpha * den)))
+                if len(out) >= count:
+                    return out
+    return out
+
+
+@st.composite
+def centred_circles(draw):
+    """k * (q^2 (x^2 + y^2) - 2pq x + p^2 - m): the circle (qx - p)^2 + (qy)^2 = m,
+    centre p/q, scaled by k; m is a sum of two squares half the time, so
+    that the circle tends to carry rational points."""
+    q, p, k = draw(st.integers(1, 12)), draw(st.integers(-200, 200)), draw(st.integers(1, 1000))
+    m = draw(st.one_of(
+        st.integers(-10, 100_000),
+        st.tuples(st.integers(0, 300), st.integers(0, 300)).map(lambda ab: ab[0] ** 2 + ab[1] ** 2),
+    ))
+    return QuadraticLocus(k * q * q, -2 * k * p * q, k * (p * p - m))
+
+
+raw_circles = st.builds(
+    QuadraticLocus, st.integers(1, 10**6), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)
+)
+
+
+class TestCircleScan:
+    """locus_samples scans only the nums inside the circle; the full scan
+    of the box is the reference."""
+
+    @given(st.one_of(centred_circles(), raw_circles), st.one_of(st.integers(1, 20), st.just(10_000)))
+    @example(QuadraticLocus(1, 0, -25), 10_000)  # (+-5, 0) on the circle: y = 0 is no sample
+    @example(QuadraticLocus(1, 0, -147), 10_000)  # the box inside the circle, no rational point
+    @example(QuadraticLocus(1, 0, -144), 10_000)  # radius 12: the box's ends x = +-12 on it
+    @example(QuadraticLocus(1, -48, 575), 10_000)  # (x - 24)^2 + y^2 = 1, outside the box
+    @example(QuadraticLocus(1, 0, 0), 10_000)  # disc = 0: a point circle
+    @example(QuadraticLocus(1, 0, 1), 10_000)  # disc < 0: no real point
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_scan(self, locus, count):
+        assert locus_samples(locus, count) == _full_scan_circle_samples(locus, count)
+
+    def test_a_circle_makes_no_value_comparison(self, monkeypatch):
+        calls, eq = [], Value.__eq__
+
+        def counted(self, other):
+            calls.append(other)
+            return eq(self, other)
+
+        monkeypatch.setattr(Value, "__eq__", counted)
+        assert locus_samples(QuadraticLocus(1, 0, -25), 2) == [(-4, 3), (-3, 4)]
+        assert calls == []
+
+    def test_sentinels(self):
+        assert locus_samples(NOWHERE, 3) == []
+        assert locus_samples(EVERYWHERE, 3) == [(0, 1), (1, 1), (2, 1)]
+        assert locus_samples(EVERYWHERE, 0) == []
 
 
 class TestBayerMacri:

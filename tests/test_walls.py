@@ -597,6 +597,29 @@ class TestDecompositionSearch:
         assert payload["labels"] == [NO_WALL]
         assert payload["codim_bound"] is None
 
+    def test_flopping_at_the_cli_cap_reads_its_lines_through_t_range(self, monkeypatch):
+        # the read counts above and in TestFirstLine wrap _positive_lines'
+        # t_range; a walk that read its lines some other way would pass them
+        # with no read at all.  This walk must read lines: its one point
+        # lies on line 49,998 (g = 1), and it stops early after 13,396
+        # lines from there, then reads the last line, v^2/2 = 149,990
+        reads, lines = [], walls_module._positive_lines  # the points of each line read
+
+        def counted(gram, vxy, pairing_cap):
+            g, e, n, t_range, first = lines(gram, vxy, pairing_cap)
+
+            def t_range_counted(j):
+                reads.append(len(t_range(j)))
+                return t_range(j)
+
+            return g, e, n, t_range_counted, first
+
+        monkeypatch.setattr(walls_module, "_positive_lines", counted)
+        H = H_of(1, (3, 2, -2, -49998), (1, 0, 0, 0))
+        assert weight_walk(H) == 49_998
+        assert 1 <= len(reads) <= 13_397  # lines
+        assert sum(reads) == 1  # points
+
 
 class TestOnDemandWitness:
     """The Flopping / FakeWall witness is walked for only when read."""
