@@ -6,8 +6,9 @@ from hypothesis import assume, given, settings
 
 from bielliptic import oracle
 from bielliptic.errors import NotHyperbolicError, PreconditionError
-from bielliptic.lattice import MukaiVector, square
+from bielliptic.lattice import MukaiVector, mukai_pairing, square
 from bielliptic.oracle import EqualityCase, enumerate_equality_cases, min_codim_oracle
+from bielliptic.surfaces import all_types
 from bielliptic.walls import HILBERT_CHOW, classify_wall, saturate_lattice
 
 from conftest import FIXTURES
@@ -180,6 +181,23 @@ class TestCodimOracle:
                 continue
             found += 1
             assert classify_wall(H).codim_bound == min_codim_oracle(H), (v.text(), w.text())
+
+    def test_agrees_with_classifier_when_v_pairs_to_zero_with_e2(self):
+        # the first three w give a basis with <v, e2> = 0, so the oracle's
+        # lines of constant pairing run along e1; the fourth is a control.
+        # e1 = v / m, so only m >= 2 puts a positive class on such a line
+        zero = found = 0
+        for t in all_types():
+            for m, n in [(1, n) for n in range(1, 30)] + [(m, n) for m in (2, 3) for n in range(1, 8)]:
+                v = MukaiVector.of(m, 0, 0, -m * n)
+                for w in [(0, 1, -1, 0), (0, 1, -2, 0), (0, 2, -1, 0), (0, 1, -1, 1)]:
+                    H = saturate_lattice(t, v, MukaiVector.of(*w))
+                    codim = classify_wall(H).codim_bound
+                    zero += m == 1 and mukai_pairing(v, MukaiVector.of(*H.basis[1])) == 0
+                    found += codim is not None
+                    assert min_codim_oracle(H) == codim, (t, v.text(), w)
+        assert zero == 609
+        assert found == 7 * 2 * 7 * 4
 
     @pytest.mark.parametrize("n", [50, 60, 80, 100])
     def test_hilbert_chow_at_large_square(self, n):
