@@ -10,7 +10,9 @@ wall: the class and message of the error saturate_lattice raises, or the
 classify_wall result (tss, the tss witness, the sorted labels, the
 codimension bound, the witnesses of every label) and the classify_key row
 of the wall's wall_key.  The witnesses are skipped above v^2 = 3,000,
-where the witness walk can list every positive class.  It then writes one
+where the witness walk can list every positive class; up to v^2 = 60 the
+row also holds min_codim_oracle's bound, which the oracle recomputes on
+its own.  It then writes one
 JSON line per reduction: the reduced vector's text, matches_reduced_form
 of it, the log's length and the SHA-256 of the log's JSON; then one per
 CLI call, made through cli.run_command with its output captured: the exit
@@ -48,6 +50,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WITNESS_SQUARE = 3_000  # the largest v^2 whose witnesses are compared
+ORACLE_SQUARE = 60  # the largest v^2 whose oracle bound is compared
 
 CHILD = """\
 import contextlib, hashlib, io, json, sys
@@ -55,6 +58,7 @@ sys.path.insert(0, sys.argv[1])
 from bielliptic.cli import run_command
 from bielliptic.errors import BiellipticError, PreconditionError
 from bielliptic.lattice import MukaiVector, l_invariant_any, square
+from bielliptic.oracle import min_codim_oracle
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
 from bielliptic.walls import classify_key, classify_wall, saturate_lattice, wall_key
 with open(sys.argv[2]) as f:
@@ -77,6 +81,8 @@ for t, vt, wt in walls:
     }
     if square(v) <= int(sys.argv[3]):
         row["witnesses"] = {label: [u.text() for u in us] for label, us in sorted(c.witnesses.items())}
+    if square(v) <= int(sys.argv[4]):
+        row["oracle"] = min_codim_oracle(H)
     print(json.dumps(row))
 for t, vt in reductions:
     try:
@@ -286,7 +292,7 @@ def main() -> None:
         outs = [open(Path(tmp) / f"out{i}", "w+") for i in range(2)]
         children = [
             subprocess.Popen(
-                [sys.executable, "-S", "-c", CHILD, src, str(case_file), str(WITNESS_SQUARE)],
+                [sys.executable, "-S", "-c", CHILD, src, str(case_file), str(WITNESS_SQUARE), str(ORACLE_SQUARE)],
                 stdout=out, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
             )
             for src, out in zip(trees, outs)
@@ -307,8 +313,10 @@ def main() -> None:
         print(f"{cases[i]}:\n  here:    {ours[i] if i < len(ours) else None}\n"
               f"  against: {theirs[i] if i < len(theirs) else None}", file=sys.stderr)
     errors = sum(line.startswith('{"error"') for line in ours[:len(walls)])
+    oracles = sum('"oracle": ' in line for line in ours[:len(walls)])
     print(f"differential: {len(walls)} walls ({errors} rejected, "
           f"{sum(square(v) <= WITNESS_SQUARE for _, v, _ in walls)} with witnesses, "
+          f"{oracles} with the oracle, "
           f"v^2 up to {max(square(v) for _, v, _ in walls)}), {len(reductions)} reductions "
           f"and {len(calls)} cli calls, {len(slices)} wide wall slice calls, "
           f"{len(diffs)} differences "

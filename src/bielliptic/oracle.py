@@ -125,15 +125,20 @@ def min_codim_oracle(H) -> int | None:
     <v, p> = k meets the closed positive cone in a segment centred at the
     projection (k/v^2) v, whose half-width along the null direction n of
     the line is k / sqrt(v^2 * (-q(n))); integer points are scanned over
-    that (slightly padded) range.  A depth-first search then assembles sum
-    decompositions and minimizes the codimension formula recomputed from
-    scratch.  Returns None when no decomposition exists.
+    that (slightly padded) range of x.  For p = x*e1 + y*e2 the line is
+    <v, e1>*x + <v, e2>*y = k, so x fixes y once <v, e2> != 0: the basis is
+    swapped when <v, e2> = 0, as v^2 > 0 rules out <v, e1> = 0 too.  So a
+    point, on its one line k = <v, p>, is met once.  A depth-first search
+    then assembles sum decompositions, whatever the basis order, and
+    minimizes the codimension formula recomputed from scratch.  Returns
+    None when no decomposition exists.
     """
     t = H.surface
     e1, e2 = H.basis
     v = H.v.as_tuple()
-    g11, g12 = _pair4(e1, e1), _pair4(e1, e2)
-    g22 = _pair4(e2, e2)
+    if _pair4(e2, v) == 0:
+        e1, e2 = e2, e1
+    g11, g12, g22 = _pair4(e1, e1), _pair4(e1, e2), _pair4(e2, e2)
     det = g11 * g22 - g12 * g12
     rv1, rv2 = _pair4(e1, v), _pair4(e2, v)
     # coordinates of v from the Gram system, by Cramer
@@ -156,33 +161,19 @@ def min_codim_oracle(H) -> int | None:
     assert qn < 0
     denom_root = isqrt(v2 * (-qn))
     candidates = []
-    seen = set()
     for k in range(1, v2):
         # segment centre (k/v2) * (vx, vy), half width k/sqrt(v2 * -qn) in t,
         # displacement (t*nx, t*ny); pad the integer scan by one on each side
-        tmax_num = k
-        steps = tmax_num // denom_root + 2
-        if cB != 0:
-            x_lo = (k * vx) // v2 - abs(nx) * steps - 1
-            x_hi = -((-k * vx) // v2) + abs(nx) * steps + 1
-            for x in range(x_lo, x_hi + 1):
-                num = k - cA * x
-                if num % cB:
-                    continue
-                y = num // cB
-                if form(x, y) >= 0 and (x, y) not in seen:
-                    seen.add((x, y))
-                    candidates.append(((x, y), k))
-        else:
-            if cA == 0 or k % cA:
+        steps = k // denom_root + 2
+        x_lo = (k * vx) // v2 - abs(nx) * steps - 1
+        x_hi = -((-k * vx) // v2) + abs(nx) * steps + 1
+        for x in range(x_lo, x_hi + 1):
+            num = k - cA * x
+            if num % cB:
                 continue
-            x = k // cA
-            y_lo = (k * vy) // v2 - abs(ny) * steps - 1
-            y_hi = -((-k * vy) // v2) + abs(ny) * steps + 1
-            for y in range(y_lo, y_hi + 1):
-                if form(x, y) >= 0 and (x, y) not in seen:
-                    seen.add((x, y))
-                    candidates.append(((x, y), k))
+            y = num // cB
+            if form(x, y) >= 0:
+                candidates.append(((x, y), k))
     candidates.sort()
 
     best: list[int | None] = [None]

@@ -37,13 +37,6 @@ class TwistBy(Value):
     def __init__(self, D: DivisorClass):
         self.D = D
 
-    def describe(self) -> dict:
-        return _twist_json(self.D.a, self.D.b)
-
-
-def _twist_json(a: int, b: int) -> dict:
-    return {"step": "twist", "params": {"a": a, "b": b}}
-
 
 class _Atom(Enum):
     DUAL = "dual"
@@ -55,9 +48,6 @@ class _Atom(Enum):
     TYPE6_A_MOVE = "type6_a_move"
     ORD3_B_MOVE = "ord3_b_move"
     PSI_DUAL_MOVE = "psi_dual_move"
-
-    def describe(self) -> dict:
-        return _ATOM_JSON[self]  # one shared dict per atom: read it, do not change it
 
 
 DUAL = _Atom.DUAL
@@ -77,7 +67,7 @@ _ATOM_JSON = {a: {"step": a.value, "params": None} for a in _Atom}
 
 
 def step_from_json(obj: dict) -> TransformStep:
-    """Parse one item as describe() writes it; any other item raises
+    """Parse one item as TransformLog.to_json writes it; any other item raises
     ValueError naming it.  Twist parameters must be ints (not bools)."""
     name, params = (obj.get("step"), obj.get("params")) if isinstance(obj, dict) else (None, None)
     if name == "twist" and isinstance(params, dict) and params.keys() == {"a", "b"}:
@@ -168,8 +158,8 @@ class TransformLog(Value):
         twist's one dict shared by every twist of its (a, b) in this list."""
         twists: dict = {}
         return [
-            (twists.get(item) or twists.setdefault(item, _twist_json(*item))) if item.__class__ is tuple
-            else item.describe()
+            (twists.get(item) or twists.setdefault(item, {"step": "twist", "params": {"a": item[0], "b": item[1]}}))
+            if item.__class__ is tuple else _ATOM_JSON[item]
             for item in self._items
         ]
 

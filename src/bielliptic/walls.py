@@ -19,10 +19,12 @@ from math import gcd, isqrt
 
 from bielliptic.errors import NotHyperbolicError, PreconditionError
 from bielliptic.lattice import (
+    DivisorClass,
     MukaiVector,
     l_invariant,
     l_invariant_any,
     mukai_pairing,
+    primitive_isotropic_in_series,
     square,
 )
 from bielliptic.linalg import ext_gcd, saturation_basis
@@ -544,21 +546,19 @@ def _val(n: int, p: int) -> int:
     return v
 
 
-def _ray_generator(mu_a: Fraction, mu_b: Fraction) -> MukaiVector:
-    """Primitive integral generator of the isotropic ray through exp(mu)."""
-    comps = (Fraction(1), mu_a, mu_b, mu_a * mu_b)
-    lcm = 1
-    for c in comps:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in comps]
-    g = gcd(gcd(ints[0], ints[1]), gcd(ints[2], ints[3]))
-    return MukaiVector.of(*(c // g for c in ints))
+def _full_l_candidate(t: int, r: int, Da: int, Db: int, index: int) -> MukaiVector:
+    """One run of the two-stage congruence construction at the given index.
 
-
-def _full_l_candidate(t: int, r: int, Da: int, Db: int, index: int) -> MukaiVector | None:
-    """One run of the two-stage congruence construction at the given index."""
-    data = surface_invariants(t)
-    ordk = data.ord_k
+    Stage 1 approximates D/r by D1/r1 with r1 prime to 6 and D1a*D1b != 0;
+    stage 2 takes ntil >= 1 with mod | N = ntil*r1 + 1 and returns the
+    primitive isotropic vector on the ray through exp(ntil*D1/N).  Its l is
+    ord_k: for p = 2, 3 with p | ord_k, p | mod | N, so p does not divide
+    ntil; with D1 = c*D0 and g = gcd(N, c), the series multiplier n0 of
+    (N/g, ntil*D1/g) has v_p(n0) = v_p(N) - v_p(c) - v_p(D0a*D0b), which is
+    >= v_p(mod) - v_p(c) - v_p(D0a*D0b) = v_p(ord_k).  So ord_k | n0, and
+    ord_k | r, ord_k | a and lam | ord_k | b.
+    """
+    ordk = surface_invariants(t).ord_k
     # stage 1: slope approximant whose reduced rank is coprime to 6
     M = 6 // gcd(r, 6)
     na, nb = M * index * Da, M * index * Db
@@ -576,20 +576,15 @@ def _full_l_candidate(t: int, r: int, Da: int, Db: int, index: int) -> MukaiVect
     x, y = _val(ordk, 2), _val(ordk, 3)
     c = gcd(d1a, d1b)
     i, j = _val(c, 2), _val(c, 3)
-    d0a, d0b = d1a // c, d1b // c
-    ab = d0a * d0b
+    ab = (d1a // c) * (d1b // c)  # D0a*D0b
     k, l = _val(ab, 2), _val(ab, 3)
     mod = 2 ** (x + i + k) * 3 ** (y + j + l)
     # r1 is prime to 6, so a unit mod 2^a 3^b: 6 | M*r makes den = 1 mod 6, the
     # perturbation's N = 1 mod 6 keeps that, and dividing by g cannot add 2 or 3
-    rtil = pow(r1, -1, mod)  # in [0, mod), so ntil >= 1
-    for bump in range(1, 65):
-        ntil = mod * bump - rtil
-        denom = ntil * r1 + 1
-        v0 = _ray_generator(Fraction(ntil * d1a, denom), Fraction(ntil * d1b, denom))
-        if v0.r >= 1 and l_invariant(t, v0) == ordk:
-            return v0
-    return None
+    ntil = mod - pow(r1, -1, mod)  # pow is in [0, mod), so ntil >= 1
+    N = ntil * r1 + 1
+    g = gcd(N, c)
+    return primitive_isotropic_in_series(N // g, DivisorClass(ntil * d1a // g, ntil * d1b // g))
 
 
 def approximate_isotropic_full_l(
@@ -616,15 +611,5 @@ def approximate_isotropic_full_l(
             abs(target_a - Fraction(v0.a, v0.r)), abs(target_b - Fraction(v0.b, v0.r))
         )
 
-    best: MukaiVector | None = None
-    best_gap: Fraction | None = None
-    for index in range(1, n + 1):
-        cand = _full_l_candidate(t, w.r, w.a, w.b, index)
-        if cand is None:
-            continue
-        g = gap_of(cand)
-        if best_gap is None or g < best_gap:
-            best, best_gap = cand, g
-    if best is None:
-        raise AssertionError(f"no candidate produced for {w.text()} (type {t})")
-    return best, best_gap
+    best = min((_full_l_candidate(t, w.r, w.a, w.b, index) for index in range(1, n + 1)), key=gap_of)
+    return best, gap_of(best)

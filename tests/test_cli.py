@@ -196,6 +196,15 @@ class TestWall:
         assert out == ""
         assert "--emit-samples" in err
 
+    @pytest.mark.parametrize("h0", ["1,2,3", "1"])
+    def test_slice_rejects_an_H0_without_two_entries(self, capsys, h0):
+        code, out, err = run(
+            capsys,
+            "wall", "slice", "--type", "1", "--v", "1,0,0,-1", "--w", "0,0,0,-1", "--H0", h0,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"bad flag value: expected a,b with two entries, got {h0!r}\n"
+
     def test_slice_locus(self, capsys):
         payload = run_json(
             capsys,

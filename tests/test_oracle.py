@@ -184,7 +184,7 @@ class TestCodimOracle:
 
     def test_agrees_with_classifier_when_v_pairs_to_zero_with_e2(self):
         # the first three w give a basis with <v, e2> = 0, so the oracle's
-        # lines of constant pairing run along e1; the fourth is a control.
+        # lines of constant pairing run along e2; the fourth is a control.
         # e1 = v / m, so only m >= 2 puts a positive class on such a line
         zero = found = 0
         for t in all_types():

@@ -77,7 +77,7 @@ UNIT_VECTORS = [MukaiVector.of(*(int(i == j) for j in range(4))) for i in range(
 
 
 def _step_id(step):
-    obj = step.describe()
+    obj = TransformLog((step,)).to_json()[0]
     if obj["params"] is None:
         return obj["step"]
     return f"twist({obj['params']['a']},{obj['params']['b']})"

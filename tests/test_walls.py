@@ -18,6 +18,7 @@ from bielliptic.lattice import (
     l_invariant_any,
     mukai_pairing,
     plane_key,
+    primitive_isotropic_in_series,
     square,
 )
 from bielliptic.linalg import ext_gcd, unit_dual
@@ -41,6 +42,7 @@ from bielliptic.walls import (
     NO_WALL,
     P1_FIBRATION,
     HyperbolicPair,
+    _full_l_candidate,
     _positive_classes,
     _weight_walk,
     _witness_walk,
@@ -1072,6 +1074,23 @@ class TestIsotropicApproximation:
             if prev is not None:
                 assert gap <= prev
             prev = gap
+
+    @given(
+        st.integers(1, 7),
+        st.integers(1, 60),
+        st.integers(-60, 60),
+        st.integers(-60, 60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_candidate_has_full_l(self, t, r, a, b):
+        # the construction makes l = ord_k on its one try: no search backs it up
+        assume(gcd(gcd(r, a), b) == 1)
+        w = primitive_isotropic_in_series(r, DivisorClass(a, b))
+        ordk = surface_invariants(t).ord_k
+        for index in range(1, 21):
+            v0 = _full_l_candidate(t, w.r, w.a, w.b, index)
+            assert square(v0) == 0 and v0.is_primitive() and v0.r >= 1
+            assert l_invariant(t, v0) == ordk, (t, w.text(), index)
 
     def test_sweep_is_pinned(self):
         # v0 and gap for every seed at n = 1..20, as a digest of their text
