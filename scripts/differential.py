@@ -12,7 +12,8 @@ codimension bound, the witnesses of every label) and the classify_key row
 of the wall's wall_key.  The witnesses are skipped above v^2 = 3,000,
 where the witness walk can list every positive class; up to v^2 = 60 the
 row also holds min_codim_oracle's bound, which the oracle recomputes on
-its own.  It then writes one
+its own, and whether <v, e2> = 0 on the wall's basis, where the oracle
+swaps e1 and e2.  It then writes one
 JSON line per reduction: the reduced vector's text, matches_reduced_form
 of it, the log's length and the SHA-256 of the log's JSON; then one per
 CLI call, made through cli.run_command with its output captured: the exit
@@ -23,7 +24,10 @@ stderr and exits 1 on any difference.
 The list is the atlas box 3,2,2,3 against 0,0,0,1 and 1,0,0,0 on all 7
 types; 2,000 random walls with 0 < v^2 <= 3,000; and 20 walls with v^2
 from 10^4 to 3*10^5, drawn as in ROADMAP's Baselines (r <= 9, |a|, |b| <=
-400, |s| <= 30,000, w in the box 3, random type).  The reductions are
+400, |s| <= 30,000, w in the box 3, random type); and 210 walls that reach
+the oracle's swap with a bound: v = (m, 0, 0, -m*n) for m = 2, n <= 7 and
+m = 3, n <= 3 (so v^2 <= 60), against (0,1,-1,0), (0,1,-2,0) and
+(0,2,-1,0), which pair to 0 with v, on all 7 types.  The reductions are
 1,000 (type, v) pairs drawn as the bench's reduce workload draws them,
 alternately with r, |a|, |b|, |s| <= 40 and <= 10^6, plus one input per
 branch of the reduction loop.  The CLI calls are 1,000 argv drawn from
@@ -57,7 +61,7 @@ import contextlib, hashlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from bielliptic.cli import run_command
 from bielliptic.errors import BiellipticError, PreconditionError
-from bielliptic.lattice import MukaiVector, l_invariant_any, square
+from bielliptic.lattice import MukaiVector, l_invariant_any, mukai_pairing, square
 from bielliptic.oracle import min_codim_oracle
 from bielliptic.transforms import matches_reduced_form, reduce_to_table
 from bielliptic.walls import classify_key, classify_wall, saturate_lattice, wall_key
@@ -83,6 +87,7 @@ for t, vt, wt in walls:
         row["witnesses"] = {label: [u.text() for u in us] for label, us in sorted(c.witnesses.items())}
     if square(v) <= int(sys.argv[4]):
         row["oracle"] = min_codim_oracle(H)
+        row["oracle_swaps"] = mukai_pairing(v, MukaiVector.of(*H.basis[1])) == 0
     print(json.dumps(row))
 for t, vt in reductions:
     try:
@@ -128,11 +133,21 @@ def random_walls(rng: random.Random, n: int, lo: int, hi: int, bounds: tuple) ->
     return out
 
 
+def swap_walls() -> list:
+    """v = (m, 0, 0, -m*n) with v^2 = 2*m^2*n <= ORACLE_SQUARE for m = 2, 3
+    against three w with <v, w> = 0, on all 7 types.  Their basis has
+    <v, e2> = 0, and as content(v) = m >= 2 a positive class lies on the
+    line <v, p> = v^2 / m, so the oracle's swap path returns a bound."""
+    vs = [(m, 0, 0, -m * n) for m in (2, 3) for n in range(1, ORACLE_SQUARE // (2 * m * m) + 1)]
+    return [[t, v, w] for t in range(1, 8) for v in vs for w in ((0, 1, -1, 0), (0, 1, -2, 0), (0, 2, -1, 0))]
+
+
 def wall_list() -> list:
     return (
         box_walls()
         + random_walls(random.Random(1), 2_000, 1, WITNESS_SQUARE, (6, 40, 40, 250))
         + random_walls(random.Random(5), 20, 10_000, 300_000, (9, 400, 400, 30_000))
+        + swap_walls()
     )
 
 
@@ -314,9 +329,10 @@ def main() -> None:
               f"  against: {theirs[i] if i < len(theirs) else None}", file=sys.stderr)
     errors = sum(line.startswith('{"error"') for line in ours[:len(walls)])
     oracles = sum('"oracle": ' in line for line in ours[:len(walls)])
+    swaps = sum('"oracle_swaps": true' in line for line in ours[:len(walls)])
     print(f"differential: {len(walls)} walls ({errors} rejected, "
           f"{sum(square(v) <= WITNESS_SQUARE for _, v, _ in walls)} with witnesses, "
-          f"{oracles} with the oracle, "
+          f"{oracles} with the oracle, {swaps} of them with <v, e2> = 0, "
           f"v^2 up to {max(square(v) for _, v, _ in walls)}), {len(reductions)} reductions "
           f"and {len(calls)} cli calls, {len(slices)} wide wall slice calls, "
           f"{len(diffs)} differences "

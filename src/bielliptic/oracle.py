@@ -128,10 +128,13 @@ def min_codim_oracle(H) -> int | None:
     that (slightly padded) range of x.  For p = x*e1 + y*e2 the line is
     <v, e1>*x + <v, e2>*y = k, so x fixes y once <v, e2> != 0: the basis is
     swapped when <v, e2> = 0, as v^2 > 0 rules out <v, e1> = 0 too.  So a
-    point, on its one line k = <v, p>, is met once.  A depth-first search
-    then assembles sum decompositions, whatever the basis order, and
-    minimizes the codimension formula recomputed from scratch.  Returns
-    None when no decomposition exists.
+    point, on its one line k = <v, p>, is met once.  Every pairing <v, p> is
+    a multiple of g = gcd(<v, e1>, <v, e2>), so only the lines k = g, 2g, ...
+    below v^2 can hold a class, and only those are read: on a swapped wall
+    g = v^2 / content(v), which leaves content(v) - 1 lines of v^2 - 1.
+    A depth-first search then assembles sum decompositions, whatever the
+    basis order, and minimizes the codimension formula recomputed from
+    scratch.  Returns None when no decomposition exists.
     """
     t = H.surface
     e1, e2 = H.basis
@@ -140,10 +143,11 @@ def min_codim_oracle(H) -> int | None:
         e1, e2 = e2, e1
     g11, g12, g22 = _pair4(e1, e1), _pair4(e1, e2), _pair4(e2, e2)
     det = g11 * g22 - g12 * g12
-    rv1, rv2 = _pair4(e1, v), _pair4(e2, v)
+    # <v, (x, y)> = cA * x + cB * y
+    cA, cB = _pair4(e1, v), _pair4(e2, v)
     # coordinates of v from the Gram system, by Cramer
-    vx = (rv1 * g22 - rv2 * g12) // det
-    vy = (g11 * rv2 - g12 * rv1) // det
+    vx = (cA * g22 - cB * g12) // det
+    vy = (g11 * cB - g12 * cA) // det
     v2 = _pair4(v, v)
 
     def vec(x, y):
@@ -152,16 +156,14 @@ def min_codim_oracle(H) -> int | None:
     def form(x, y):
         return g11 * x * x + 2 * g12 * x * y + g22 * y * y
 
-    # <v, (x, y)> = cA * x + cB * y
-    cA = g11 * vx + g12 * vy
-    cB = g12 * vx + g22 * vy
     # direction along the lines of constant pairing; negative square
     nx, ny = cB, -cA
     qn = form(nx, ny)
     assert qn < 0
     denom_root = isqrt(v2 * (-qn))
     candidates = []
-    for k in range(1, v2):
+    g = gcd(cA, cB)
+    for k in range(g, v2, g):
         # segment centre (k/v2) * (vx, vy), half width k/sqrt(v2 * -qn) in t,
         # displacement (t*nx, t*ny); pad the integer scan by one on each side
         steps = k // denom_root + 2

@@ -29,15 +29,6 @@ from bielliptic.surfaces import surface_invariants
 from bielliptic.values import Value
 
 
-class TwistBy(Value):
-    """Twist by the line bundle of class D."""
-
-    __slots__ = ("D",)
-
-    def __init__(self, D: DivisorClass):
-        self.D = D
-
-
 class _Atom(Enum):
     DUAL = "dual"
     SHIFT = "shift"
@@ -60,7 +51,7 @@ TYPE6_A_MOVE = _Atom.TYPE6_A_MOVE
 ORD3_B_MOVE = _Atom.ORD3_B_MOVE
 PSI_DUAL_MOVE = _Atom.PSI_DUAL_MOVE
 
-TransformStep = TwistBy | _Atom
+TransformStep = DivisorClass | _Atom  # a twist step is the class D of O(D)
 
 _STEP_NAMES = {a.value: a for a in _Atom}
 _ATOM_JSON = {a: {"step": a.value, "params": None} for a in _Atom}
@@ -72,7 +63,7 @@ def step_from_json(obj: dict) -> TransformStep:
     name, params = (obj.get("step"), obj.get("params")) if isinstance(obj, dict) else (None, None)
     if name == "twist" and isinstance(params, dict) and params.keys() == {"a", "b"}:
         if all(x.__class__ is int for x in params.values()):
-            return TwistBy(DivisorClass(params["a"], params["b"]))
+            return DivisorClass(params["a"], params["b"])
     elif name.__class__ is str and name in _STEP_NAMES and params is None:
         return _STEP_NAMES[name]
     raise ValueError(f"malformed or unknown transform step {obj!r}")
@@ -80,8 +71,8 @@ def step_from_json(obj: dict) -> TransformStep:
 
 def _act(step: TransformStep, lam: int, ordk: int, r: int, a: int, b: int, s: int):
     """One step's lattice action on (r, a, b, s); the step is not validated."""
-    if step.__class__ is TwistBy:
-        x, y = step.D.a, step.D.b
+    if step.__class__ is DivisorClass:
+        x, y = step.a, step.b
         return r, a + r * x, b + r * y, s + a * y + b * x + r * x * y
     if step is PHI_INV:
         return r - lam * a, a, b - lam * s, s
@@ -123,12 +114,12 @@ class TransformLog(Value):
     """Replayable sequence of steps; replay(t, v) reproduces the output.
 
     A twist is held as its (a, b) int pair and an atom as itself; the
-    TwistBy values are built only when the steps are read."""
+    DivisorClass values are built only when the steps are read."""
 
     __slots__ = ("_items",)
 
     def __init__(self, steps: Iterable[TransformStep] = ()):
-        self._items = tuple((st.D.a, st.D.b) if st.__class__ is TwistBy else st for st in steps)
+        self._items = tuple((st.a, st.b) if st.__class__ is DivisorClass else st for st in steps)
 
     @classmethod
     def _of_items(cls, items: list) -> "TransformLog":
@@ -141,7 +132,7 @@ class TransformLog(Value):
     def _iter_steps(self):
         """The steps one at a time, so that replay holds one twist at once."""
         for item in self._items:
-            yield TwistBy(DivisorClass(*item)) if item.__class__ is tuple else item
+            yield DivisorClass(*item) if item.__class__ is tuple else item
 
     @property
     def steps(self) -> tuple[TransformStep, ...]:
@@ -209,7 +200,7 @@ def matches_reduced_form(t: int, v: MukaiVector) -> bool:
 # the reduction loop
 
 
-_ESCAPE_TWIST = TwistBy(DivisorClass(0, -1))  # the ord-3 escape before PSI
+_ESCAPE_TWIST = DivisorClass(0, -1)  # the ord-3 escape before PSI
 
 
 def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
@@ -254,7 +245,7 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
         y = -(b // r)
         if x or y:
             emit((x, y))
-            a, b, s = a + r * x, b + r * y, s + a * y + b * x + r * x * y  # _act's TwistBy line
+            a, b, s = a + r * x, b + r * y, s + a * y + b * x + r * x * y  # _act's twist line
 
         if not (a == 0 or (lam > 1 and lam * a == r)):  # _a_reduced, inlined
             if 2 * a > r:

@@ -49,3 +49,16 @@ def test_a_changed_usage_line_is_reported(tmp_path):
     run = differential(tmp_path)
     assert run.returncode == 1
     assert " 0 differences " not in run.stdout and "cli [" in run.stderr
+
+
+def test_an_oracle_that_skips_its_swap_is_reported(tmp_path):
+    # the --walls 200 sample holds 7 of the walls v = (m, 0, 0, -m*n),
+    # m >= 2, that the oracle swaps and bounds
+    shutil.copytree(ROOT / "src" / "bielliptic", tmp_path / "bielliptic")
+    oracle = tmp_path / "bielliptic" / "oracle.py"
+    swap = "        e1, e2 = e2, e1\n"
+    assert swap in oracle.read_text()
+    oracle.write_text(oracle.read_text().replace(swap, "        return None\n"))
+    run = differential(tmp_path)
+    assert run.returncode == 1
+    assert " 0 differences " not in run.stdout and '"oracle": null' in run.stderr

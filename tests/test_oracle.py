@@ -198,6 +198,12 @@ class TestCodimOracle:
                     assert min_codim_oracle(H) == codim, (t, v.text(), w)
         assert zero == 609
         assert found == 7 * 2 * 7 * 4
+        # v^2 = 1,200: the oracle reads the lines k = g, 2g, ... alone,
+        # none for content(v) = 1 and the line k = 600 for content(v) = 2
+        for t in all_types():
+            for v, codim in [((1, 0, 0, -600), None), ((2, 0, 0, -300), 300)]:
+                H = saturate_lattice(t, MukaiVector.of(*v), MukaiVector.of(0, 1, -1, 0))
+                assert min_codim_oracle(H) == classify_wall(H).codim_bound == codim, (t, v)
 
     @pytest.mark.parametrize("n", [50, 60, 80, 100])
     def test_hilbert_chow_at_large_square(self, n):

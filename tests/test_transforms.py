@@ -24,7 +24,6 @@ from bielliptic.transforms import (
     SHIFT,
     TYPE6_A_MOVE,
     TransformLog,
-    TwistBy,
     apply_transform,
     count_rank_reducing,
     detect_exceptional,
@@ -42,7 +41,7 @@ from conftest import mukai_vectors, primitive_vectors, surface_types
 def steps_valid_for(t):
     """All atoms valid on type t, and twists by A0, B0, A0 + B0, -2A0 + 3B0."""
     d = surface_invariants(t)
-    steps = [TwistBy(DivisorClass(x, y)) for x, y in ((1, 0), (0, 1), (1, 1), (-2, 3))]
+    steps = [DivisorClass(x, y) for x, y in ((1, 0), (0, 1), (1, 1), (-2, 3))]
     steps += [DUAL, SHIFT, PHI, PHI_INV, PSI, PSI_INV]
     if d.lam == 3:
         steps.append(TYPE6_A_MOVE)
@@ -103,7 +102,7 @@ class TestSingleSteps:
         assert apply_transform(3, DUAL, MukaiVector.of(2, 1, 1, -1)) == MukaiVector.of(2, -1, -1, -1)
 
     def test_twist(self):
-        got = apply_transform(1, TwistBy(DivisorClass(-2, -3)), MukaiVector.of(1, 2, 3, 5))
+        got = apply_transform(1, DivisorClass(-2, -3), MukaiVector.of(1, 2, 3, 5))
         assert got == MukaiVector.of(1, 0, 0, -1)
         assert square(got) == 2 == square(MukaiVector.of(1, 2, 3, 5))
 
@@ -137,7 +136,7 @@ class TestSingleSteps:
 
 class TestLogs:
     def test_json_round_trip(self):
-        log = TransformLog((TwistBy(DivisorClass(2, -1)), PHI_INV, DUAL, PSI))
+        log = TransformLog((DivisorClass(2, -1), PHI_INV, DUAL, PSI))
         again = TransformLog.from_json(log.to_json())
         assert again == log
 
@@ -151,10 +150,10 @@ class TestLogs:
 
     def test_log_of_step_objects_equals_the_reduction_log(self):
         _, log = reduce_to_table(1, MukaiVector.of(3, 1, 1, 0))
-        built = TransformLog((PHI_INV, PHI_INV, TwistBy(DivisorClass(-1, -1))))
+        built = TransformLog((PHI_INV, PHI_INV, DivisorClass(-1, -1)))
         assert built == log and hash(built) == hash(log) and len(built) == len(log) == 3
-        assert built != TransformLog((PHI_INV, PHI_INV, TwistBy(DivisorClass(-1, 0))))
-        assert built != TransformLog((PHI_INV, TwistBy(DivisorClass(-1, -1))))
+        assert built != TransformLog((PHI_INV, PHI_INV, DivisorClass(-1, 0)))
+        assert built != TransformLog((PHI_INV, DivisorClass(-1, -1)))
         assert log.__eq__(log.steps) is NotImplemented
         for name in ("twist_0_-1_then_psi", "twist_each_phi_inv", "stuck_type6"):
             t, text = REFERENCE_BRANCHES[name]
@@ -166,14 +165,13 @@ class TestLogs:
         _, log = reduce_to_table(6, MukaiVector.parse(REFERENCE_BRANCHES["twist_0_-1_then_psi"][1]))
         steps = log.steps
         assert steps.__class__ is tuple and len(steps) == len(log)
-        assert TwistBy(DivisorClass(0, -1)) in steps and PSI in steps
+        assert DivisorClass(0, -1) in steps and PSI in steps
         for step in steps:
-            assert step.__class__ is TwistBy or step in transforms._Atom
-            if step.__class__ is TwistBy:
-                assert step.D.__class__ is DivisorClass
-                assert (step.D.a.__class__, step.D.b.__class__) == (int, int)
-        assert repr(TransformLog((DUAL, TwistBy(DivisorClass(1, 2))))) == (
-            "TransformLog(steps=(<_Atom.DUAL: 'dual'>, TwistBy(D=DivisorClass(a=1, b=2))))"
+            assert step.__class__ is DivisorClass or step in transforms._Atom
+            if step.__class__ is DivisorClass:
+                assert (step.a.__class__, step.b.__class__) == (int, int)
+        assert repr(TransformLog((DUAL, DivisorClass(1, 2)))) == (
+            "TransformLog(steps=(<_Atom.DUAL: 'dual'>, DivisorClass(a=1, b=2)))"
         )
 
     def test_unknown_step_rejected(self):
@@ -236,57 +234,50 @@ class TestLogs:
 
     def test_well_formed_items_parse(self):
         big = 10**30
-        assert step_from_json({"step": "twist", "params": {"b": -big, "a": 0}}) == TwistBy(
-            DivisorClass(0, -big)
-        )
+        twist = step_from_json({"step": "twist", "params": {"b": -big, "a": 0}})
+        assert twist.__class__ is DivisorClass and twist == DivisorClass(0, -big)
         assert step_from_json({"step": "psi_dual_move", "params": None}) is PSI_DUAL_MOVE
 
 
 class TestFlatValues:
-    """DivisorClass and TwistBy are flat __slots__ values with the equality,
-    hash and repr that frozen dataclasses of the same fields would have."""
+    """DivisorClass, which is also the twist step, is a flat __slots__ value
+    with the equality, hash and repr that a frozen dataclass of the same
+    fields would have."""
 
     def test_equal_fields_give_equal_values_and_hashes(self):
         D, E = DivisorClass(1, 2), DivisorClass(a=1, b=2)
         assert D == E and hash(D) == hash(E) == hash((1, 2))
         assert D != DivisorClass(2, 1) and D != DivisorClass(1, 3)
-        tw, tw2 = TwistBy(D), TwistBy(D=E)
-        assert tw == tw2 and hash(tw) == hash(tw2) == hash(D)
-        assert tw != TwistBy(DivisorClass(0, 2))
-        assert (D.a, D.b, tw.D) == (1, 2, E)
+        assert (D.a, D.b) == (1, 2)
 
     def test_other_classes_are_never_equal(self):
         D = DivisorClass(1, 2)
         assert D != (1, 2) and (1, 2) != D
         assert D.__eq__((1, 2)) is NotImplemented
-        tw = TwistBy(D)
-        assert tw != D and D != tw
-        assert tw != DUAL and DUAL != tw
-        assert tw.__eq__(D) is NotImplemented
+        assert D != DUAL and DUAL != D
 
     def test_reprs_are_pinned(self):
         assert repr(DivisorClass(1, 2)) == "DivisorClass(a=1, b=2)"
-        assert repr(TwistBy(DivisorClass(1, 2))) == "TwistBy(D=DivisorClass(a=1, b=2))"
         assert repr(DivisorClass(-3, 0)) == "DivisorClass(a=-3, b=0)"
 
     def test_no_instance_dict(self):
-        for value in (DivisorClass(1, 2), TwistBy(DivisorClass(1, 2))):
-            assert not hasattr(value, "__dict__")
-            with pytest.raises(AttributeError):
-                value.c = 1
+        value = DivisorClass(1, 2)
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.c = 1
 
     def test_steps_as_dict_keys(self):
         # a step histogram, as criterion 5 keeps one, keyed by the steps
-        steps = [TwistBy(DivisorClass(1, 0)), DUAL, TwistBy(DivisorClass(1, 0)), PHI_INV]
-        steps += [TwistBy(DivisorClass(0, 1)), DUAL]
+        steps = [DivisorClass(1, 0), DUAL, DivisorClass(1, 0), PHI_INV]
+        steps += [DivisorClass(0, 1), DUAL]
         hist = {}
         for step in steps:
             hist[step] = hist.get(step, 0) + 1
         assert hist == {
-            TwistBy(DivisorClass(1, 0)): 2,
+            DivisorClass(1, 0): 2,
             DUAL: 2,
             PHI_INV: 1,
-            TwistBy(DivisorClass(0, 1)): 1,
+            DivisorClass(0, 1): 1,
         }
         assert {DivisorClass(1, 0): "A0"}[DivisorClass(1, 0)] == "A0"
 
@@ -340,22 +331,38 @@ class TestReduce:
 
 
 def test_type6_residue_class_is_invariant():
-    """(r, +-(a, b)) mod 3 is fixed by every step when 3 | r, so vectors
-    with (a, b) = +-(1, 2) mod 3 can never reach a row pattern on type 6
-    (all row patterns have (a, b) proportional to (0, 0), (1, 0), (0, 1)
-    or (1, 1) mod 3)."""
+    """No step valid on type 6 leaves the class 3 | r, (a, b) = +-(1, 2)
+    mod 3, and no row pattern lies in it, so the reduction cannot reach a
+    row pattern from the class, whatever r is.
+
+    Every step acts on (r, a, b, s) by an integer matrix, so it acts on the
+    residues mod 3; a twist by D acts through D mod 3.  The closure of the
+    six residues (0, a, b, s) with (a, b) = +-(1, 2) under every step is
+    those six residues.  On type 6 (lambda = ord K = 3) a row pattern has a
+    and b each 0 or r/3 mod r, so with 3 | r its (a, b) mod 3 is one of
+    (0, 0), (q, 0), (0, q), (q, q) for q = r/3, never +-(1, 2); the loop
+    below checks this against matches_reduced_form for r <= 90."""
+    atoms = [PHI, PHI_INV, PSI, PSI_INV, DUAL, SHIFT, TYPE6_A_MOVE, ORD3_B_MOVE]
+    assert set(transforms._Atom) - set(atoms) == {PSI_DUAL_MOVE}  # needs ord K in (4, 6)
+    steps = [DivisorClass(x, y) for x in range(3) for y in range(3)] + atoms
     classes = {(1, 2), (2, 1)}
-    vecs = [
-        MukaiVector.of(3, 1, 2, 0),
-        MukaiVector.of(6, 4, 5, -3),
-        MukaiVector.of(9, -2, 8, 7),
+    residues = {(0, a, b, s) for a, b in classes for s in range(3)}
+    orbit, frontier = set(residues), list(residues)
+    while frontier:
+        u = frontier.pop()
+        for step in steps:
+            w = tuple(x % 3 for x in apply_transform(6, step, MukaiVector(*u)).as_tuple())
+            if w not in orbit:
+                orbit.add(w)
+                frontier.append(w)
+    assert orbit == residues
+    rows = [
+        (r, a, b)
+        for r in range(3, 91, 3) for a in range(r) for b in range(r)
+        if matches_reduced_form(6, MukaiVector(r, a, b, 0))
     ]
-    for v in vecs:
-        assert (v.a % 3, v.b % 3) in classes
-        for step in steps_valid_for(6):
-            w = apply_transform(6, step, v)
-            if w.r % 3 == 0:
-                assert (w.a % 3, w.b % 3) in classes, (v, step, w)
+    assert len(rows) == 4 * 30  # a, b in {0, r/3} for each r
+    assert not [row for row in rows if (row[1] % 3, row[2] % 3) in classes]
 
 
 def test_type6_stuck_form_is_deterministic():
@@ -366,8 +373,8 @@ def test_type6_stuck_form_is_deterministic():
 
 
 def _reference_reduce(t, v):
-    """The reduction loop as it stood when DivisorClass and TwistBy were
-    frozen dataclasses and the loop called _a_reduced, kept verbatim so that
+    """The reduction loop as it stood when DivisorClass was a frozen
+    dataclass wrapped in a twist-step class and the loop called _a_reduced, kept verbatim so that
     reduce_to_table can be checked against it branch by branch."""
     if v.r < 1:
         raise PreconditionError(f"reduction needs rank >= 1, got {v.r}")
@@ -395,7 +402,7 @@ def _reference_reduce(t, v):
         x = -(a // r)
         y = -(b // r)
         if x or y:
-            step = TwistBy(DivisorClass(x, y))
+            step = DivisorClass(x, y)
             emit(step)
             r, a, b, s = act(step, lam, ordk, r, a, b, s)
 
@@ -423,7 +430,7 @@ def _reference_reduce(t, v):
                     return MukaiVector(r, a, b, s), TransformLog(tuple(steps))
                 step = TYPE6_A_MOVE
             else:
-                step = TwistBy(DivisorClass(0, -1))
+                step = DivisorClass(0, -1)
                 emit(step)
                 r, a, b, s = act(step, lam, ordk, r, a, b, s)
                 step = PSI
@@ -516,28 +523,28 @@ def test_loop_applies_its_twists_and_phi_inv_itself(monkeypatch, name, act_calls
 
 @pytest.mark.parametrize("name", ["psi_inv", "twist_0_-1_then_psi", "twist_each_phi_inv"])
 def test_loop_builds_no_twist_objects(monkeypatch, name):
-    # the loop logs a twist as its (a, b) pair; TwistBy and DivisorClass
-    # are built only when the log's steps are read
+    # the loop logs a twist as its (a, b) pair; its DivisorClass is built
+    # only when the log's steps are read
     t, text = REFERENCE_BRANCHES[name]
     v = MukaiVector.parse(text)
-    built = {TwistBy: 0, DivisorClass: 0}
-    for cls in built:
-        def counting_init(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
-            built[_cls] += 1
-            _init(self, *args, **kwargs)
+    built = [0]
 
-        monkeypatch.setattr(cls, "__init__", counting_init)
+    def counting_init(self, *args, _init=DivisorClass.__init__, **kwargs):
+        built[0] += 1
+        _init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DivisorClass, "__init__", counting_init)
     v0, log = reduce_to_table(t, v)
-    assert built == {TwistBy: 0, DivisorClass: 0}
+    assert built == [0]
     ref_v0, ref_log = _reference_reduce(t, v)
     ref_steps = ref_log.steps
-    twists = sum(step.__class__ is TwistBy for step in ref_steps)
+    twists = sum(step.__class__ is DivisorClass for step in ref_steps)
     assert twists >= 1
     assert v0 == ref_v0
     assert log.steps == ref_steps
-    # the counters do count: the reference loop builds each twist once,
+    # the counter does count: the reference loop builds each twist once,
     # and each of the two reads of steps builds it once more
-    assert built == {TwistBy: 3 * twists, DivisorClass: 3 * twists}
+    assert built == [3 * twists]
 
 
 class TestExceptional:
@@ -546,7 +553,7 @@ class TestExceptional:
 
     def test_trivial_family_twisted(self):
         # (2, 0, -1) twisted by A0 is (2, 2A0, -1)
-        twisted = apply_transform(2, TwistBy(DivisorClass(1, 0)), MukaiVector.of(2, 0, 0, -1))
+        twisted = apply_transform(2, DivisorClass(1, 0), MukaiVector.of(2, 0, 0, -1))
         assert twisted == MukaiVector.of(2, 2, 0, -1)
         assert detect_exceptional(2, twisted) is ExceptionalKind.RANK2_TRIVIAL
 
@@ -559,7 +566,7 @@ class TestExceptional:
 
     @given(st.integers(-10, 10), st.integers(-10, 10))
     def test_whole_twist_orbits(self, x, y):
-        tw = TwistBy(DivisorClass(x, y))
+        tw = DivisorClass(x, y)
         assert detect_exceptional(2, apply_transform(2, tw, MukaiVector.of(2, 0, 0, -1))) is ExceptionalKind.RANK2_TRIVIAL
         assert detect_exceptional(1, apply_transform(1, tw, MukaiVector.of(2, 0, 1, -1))) is ExceptionalKind.RANK2_TYPE1_B0
 
