@@ -30,14 +30,20 @@ m = 3, n <= 3 (so v^2 <= 60), against (0,1,-1,0), (0,1,-2,0) and
 (0,2,-1,0), which pair to 0 with v, on all 7 types.  The reductions are
 1,000 (type, v) pairs drawn as the bench's reduce workload draws them,
 alternately with r, |a|, |b|, |s| <= 40 and <= 10^6, plus one input per
-branch of the reduction loop.  The CLI calls are 1,000 argv drawn from
+branch of the reduction loop and per way a PHI_INV run ends, and 49 long
+runs: r = 10^6 with a = 1, 2, 3 and s = +-(10^12 - 1), and the twist-heavy
+cap 1000000,1,0,999999, on all 7 types.  The long runs take about 2.5
+minutes a tree on a 2-core VM, nearly all of it in writing and hashing
+their logs' JSON (a twist per step, each of its own (a, b)), so only a run
+without --walls compares them.  The CLI calls are 1,000 argv drawn from
 every subcommand but atlas: about 700 valid ones, --json or not, and 300
 invalid ones (an unknown or trailing flag, an abbreviated flag, -h, a
 missing command word, a bad value), plus -h on the top parser and on each
 command; then 200 `wall slice` calls with vector entries up to about 10^6
 and --emit-samples 1 to 12, half of them on a circle through a rational
 point of the sample scan's box (slice_list).  --walls N compares N walls
-spread evenly over the wall list, every reduction and every call.
+spread evenly over the wall list, every reduction but the long runs and
+every call.
 Standard library only.
 """
 
@@ -151,13 +157,22 @@ def wall_list() -> list:
     )
 
 
-# one input per branch of reduce_to_table, as tests/test_transforms.py
-# pins them in REFERENCE_BRANCHES
+# one input per branch of reduce_to_table and per way a PHI_INV run ends, as
+# tests/test_transforms.py pins them in REFERENCE_BRANCHES
 BRANCH_REDUCTIONS = [
     [6, (3, -1, -3, -3)], [1, (2, -1, -2, -2)], [6, (2, -1, -2, -2)], [2, (2, -1, -2, -2)],
     [5, (3, -3, -1, -3)], [1, (3, -3, -2, -3)], [5, (2, -2, -1, -2)], [6, (3, 1, 2, 0)],
     [6, (9, -6, -3, -8)], [6, (9, -6, -2, -9)], [3, (3, -3, -2, -3)], [6, (18, 25, 20, -23)],
     [1, (1000, 1, 0, 0)], [1, (1000, 1, 0, 999)],
+    [2, (10, 1, 0, 3)], [6, (17, 2, 0, -5)], [1, (13, 3, 0, 7)], [1, (9, 3, 1, 2)],
+    [2, (20, 3, 1, -5)], [4, (1000, 1, 0, -999)], [6, (1000, 1, 0, -999)], [7, (1000, 3, 5, -99999)],
+]
+# long PHI_INV runs on every type: r = 10^6, a = 1..3 and |s| = 10^12 - 1 of
+# both signs, and the twist-heavy cap, a twist between every two steps
+LONG_RUNS = [
+    [t, v]
+    for t in range(1, 8)
+    for v in [(10**6, a, 0, sign * (10**12 - 1)) for a in (1, 2, 3) for sign in (1, -1)] + [(10**6, 1, 0, 999_999)]
 ]
 
 
@@ -169,10 +184,10 @@ def primitive(rng: random.Random, n: int) -> tuple:
             return v
 
 
-def reduction_list() -> list:
+def reduction_list(long_runs: bool) -> list:
     rng = random.Random(3)
     drawn = [[rng.randint(1, 7), primitive(rng, n)] for _ in range(500) for n in (40, 10**6)]
-    return drawn + BRANCH_REDUCTIONS
+    return drawn + BRANCH_REDUCTIONS + (LONG_RUNS if long_runs else [])
 
 
 def _vector(rng: random.Random) -> str:
@@ -293,7 +308,7 @@ def main() -> None:
     walls = wall_list()
     if args.walls is not None and args.walls < len(walls):
         walls = [walls[i * len(walls) // args.walls] for i in range(args.walls)]
-    reductions = reduction_list()
+    reductions = reduction_list(long_runs=args.walls is None)
     calls, slices = cli_list(), slice_list()
     cases = (
         [f"wall {w}" for w in walls] + [f"reduction {red}" for red in reductions]

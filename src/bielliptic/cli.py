@@ -3,7 +3,8 @@
 Subcommands: info, pair, reduce, wall classify, wall slice, moduli report,
 oracle cases, atlas.  Every subcommand but atlas, which writes CSV, accepts
 --json and emits a stable schema ({"schema": 1, ...}); exit status 2 for flag
-errors, 3 for violated preconditions (named on stderr), 0 on success.
+errors, 3 for violated preconditions (named on stderr) and for an answer
+with an integer too long for Python's int-to-text limit, 0 on success.
 """
 
 import argparse
@@ -417,6 +418,21 @@ def _parse(parser, leaves, argv: list[str]) -> argparse.Namespace:
     return args
 
 
+def _over_int_text_limit(e: ValueError) -> bool:
+    """True iff e is what Python raises writing an int of more digits than
+    sys.get_int_max_str_digits() as text.  Reading such a text as an int, as
+    a flag value over the limit does, raises a ValueError with another
+    message (it gives the value's digit count)."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # 0: no limit
+        return False
+    try:
+        str(1 << 4 * limit)  # about 1.2 * limit digits; fails fast, before any conversion
+    except ValueError as probe:
+        return e.args == probe.args
+    return False
+
+
 def run_command(argv: list[str]) -> int:
     """Parse, run and print; returns the exit status (2 flags, 3 preconditions)."""
     parser, leaves = build_parser()
@@ -450,6 +466,13 @@ def run_command(argv: list[str]) -> int:
         print(f"precondition violated: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
+        if _over_int_text_limit(e):
+            print(
+                f"answer not printable: it holds an integer of more than {sys.get_int_max_str_digits()} "
+                "digits, Python's limit on int-to-text conversion (sys.set_int_max_str_digits)",
+                file=sys.stderr,
+            )
+            return 3
         print(f"bad flag value: {e}", file=sys.stderr)
         return 2
 

@@ -251,8 +251,27 @@ def reduce_to_table(t: int, v: MukaiVector) -> tuple[MukaiVector, TransformLog]:
             if 2 * a > r:
                 step = DUAL
             elif lam * a < r:
+                la = lam * a
                 emit(PHI_INV)
-                r, b = r - lam * a, b - lam * s  # _act's PHI_INV line
+                r, b = r - la, b - lam * s  # _act's PHI_INV line
+                # The rest of the PHI_INV run, each round what an outer
+                # round would do.  PHI_INV (a row operation on
+                # [[r, b], [a, s]]) and the twist (0, y) (a column
+                # operation) leave a as it is, and a > 0 here; the run's
+                # condition gives a < r, so the normalising twist has x = 0,
+                # and the a-branch picks PHI_INV again exactly while
+                # lam*a < r and 2a <= r: r > lam*a for lam > 1, r >= 2a for
+                # lam = 1.  Each round spends one unit of fuel; with none
+                # left the outer loop raises.
+                stop = la if lam > 1 else 2 * a - 1
+                while r > stop and fuel:
+                    fuel -= 1
+                    y = -(b // r)
+                    if y:
+                        emit((0, y))
+                        b, s = b + r * y, s + a * y
+                    emit(PHI_INV)
+                    r, b = r - la, b - lam * s
                 continue
             else:
                 # lambda = 3 and r/3 < a <= r/2

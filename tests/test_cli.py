@@ -63,6 +63,30 @@ class TestInfo:
         assert code == 2
 
 
+class TestPair:
+    NINES = "9" * 4_000
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_answer_over_the_int_text_limit_exits_3(self, capsys, json_flag):
+        # both flags parse; the pairing has about 8,000 digits and cannot be written
+        code, out, err = run(
+            capsys, "pair", "--type", "1", "--v", f"1,0,0,-{self.NINES}", "--w", f"{self.NINES},1,1,1", *json_flag
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"answer not printable: it holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+            "Python's limit on int-to-text conversion (sys.set_int_max_str_digits)\n"
+        )
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_flag_value_over_the_int_text_limit_exits_2(self, capsys, json_flag):
+        digits = sys.get_int_max_str_digits() + 1
+        code, out, err = run(capsys, "pair", "--type", "1", "--v", "1,0,0," + "9" * digits, "--w", "1,1,1,1", *json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad flag value: Exceeds the limit") and f"value has {digits} digits" in err
+        assert "Traceback" not in err
+
+
 class TestReduce:
     def test_documented_example(self, capsys):
         payload = run_json(capsys, "reduce", "--type", "1", "--vector", "3,1,1,0", "--json")

@@ -1,6 +1,9 @@
 import hashlib
+import itertools
+import math
 import random
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -365,6 +368,23 @@ def test_type6_residue_class_is_invariant():
     assert not [row for row in rows if (row[1] % 3, row[2] % 3) in classes]
 
 
+def test_box_reduces_to_a_row_exactly_outside_the_type6_class():
+    # every primitive v with 1 <= r <= 6 and |a|, |b|, |s| <= 6, on all
+    # seven types: the reduction ends on a row pattern unless v lies in the
+    # irreducible type-6 class (test_type6_residue_class_is_invariant)
+    box = range(-6, 7)
+    n = 0
+    for r in range(1, 7):
+        for a, b, s in itertools.product(box, repeat=3):
+            if math.gcd(r, a, b, s) == 1:
+                v = MukaiVector(r, a, b, s)
+                for t in range(1, 8):
+                    v0, _ = reduce_to_table(t, v)
+                    assert matches_reduced_form(t, v0) is not _stuck_type6(t, v), (t, v, v0)
+                    n += 1
+    assert n == 83_321
+
+
 def test_type6_stuck_form_is_deterministic():
     v0, log = reduce_to_table(6, MukaiVector.of(3, 1, 2, 0))
     assert (v0.r, v0.a, v0.b) == (3, 1, 2)
@@ -458,6 +478,15 @@ REFERENCE_BRANCHES = {
     "stuck_type6": (6, "18,25,20,-23"),
     "long_phi_inv_chain": (1, "1000,1,0,0"),
     "twist_each_phi_inv": (1, "1000,1,0,999"),
+    # how a PHI_INV run ends (see test_run_exit_examples_end_their_runs)
+    "run_ends_a_reduced": (2, "10,1,0,3"),
+    "run_ends_type6_a_move": (6, "17,2,0,-5"),
+    "run_ends_dual": (1, "13,3,0,7"),
+    "run_leaves_a_ge_r": (1, "9,3,1,2"),
+    "run_leaves_a_ge_r_lam2": (2, "20,3,1,-5"),
+    "long_run_s_negative_lam2": (4, "1000,1,0,-999"),
+    "long_run_s_negative_lam3": (6, "1000,1,0,-999"),
+    "long_run_ord6": (7, "1000,3,5,-99999"),
 }
 
 
@@ -487,6 +516,76 @@ def test_reference_branch_examples_take_their_steps():
     assert alternating == ["phi_inv", "twist"] * 999
     v0, _ = _reference_reduce(6, MukaiVector.parse(REFERENCE_BRANCHES["stuck_type6"][1]))
     assert (v0.a, v0.b) == (v0.r // 3, 2 * v0.r // 3)
+
+
+def _first_run(t, text):
+    """The reference log's first PHI_INV run, as the number of its PHI_INV
+    steps, and the log items after it (the twists (0, y) inside the run are
+    part of it)."""
+    phi_inv = {"step": "phi_inv", "params": None}
+    items = _reference_reduce(t, MukaiVector.parse(text))[1].to_json()
+    start = j = items.index(phi_inv)
+    while j < len(items):
+        if items[j] == phi_inv:
+            j += 1
+        elif items[j]["step"] == "twist" and items[j]["params"]["a"] == 0 and items[j + 1 : j + 2] == [phi_inv]:
+            j += 2
+        else:
+            break
+    return items[start:j].count(phi_inv), items[j:]
+
+
+def test_run_exit_examples_end_their_runs():
+    # each way a PHI_INV run ends, on the reference loop: lam*a >= r for
+    # lam > 1 (TYPE6_A_MOVE, or a-reduced at lam*a == r), 2a > r for lam = 1
+    # (DUAL), and a >= r, where the next twist has x != 0
+    def names(rest):
+        return [item["step"] for item in rest]
+
+    run, rest = _first_run(*REFERENCE_BRANCHES["run_ends_a_reduced"])
+    assert (run, rest) == (4, [{"step": "twist", "params": {"a": 0, "b": 7}}])
+    run, rest = _first_run(*REFERENCE_BRANCHES["run_ends_type6_a_move"])
+    assert run == 2 and names(rest[:2]) == ["twist", "type6_a_move"]
+    run, rest = _first_run(*REFERENCE_BRANCHES["run_ends_dual"])
+    assert run == 3 and names(rest[:2]) == ["twist", "dual"]
+    run, rest = _first_run(*REFERENCE_BRANCHES["long_run_ord6"])
+    assert run == 332 and names(rest[:2]) == ["twist", "dual"]  # r = 4 < 2a
+    for name in ("run_leaves_a_ge_r", "run_leaves_a_ge_r_lam2", "long_run_s_negative_lam3"):
+        run, rest = _first_run(*REFERENCE_BRANCHES[name])
+        assert run >= 2 and rest[0]["step"] == "twist" and rest[0]["params"]["a"] != 0, name
+    run, rest = _first_run(*REFERENCE_BRANCHES["long_run_s_negative_lam2"])
+    assert run == 499 and len(rest) == 1  # ends a-reduced at r = 2 = lam*a
+    assert _first_run(*REFERENCE_BRANCHES["twist_each_phi_inv"])[0] == 999
+
+
+def test_run_that_outlasts_the_budget(monkeypatch):
+    # No real step raises the rank, so a run from rank R takes fewer than R
+    # of the input's 20*r + 100 rounds, and searches of small vectors with
+    # no b counted reduced found no run that meets the budget.  Here no b is
+    # counted reduced, so (1, 0, 0, 0) takes a PSI_INV step, patched to jump
+    # to rank 10^6 with a = 1: a run of about 10^6 PHI_INV rounds, against
+    # a budget of 120.  Both loops stop in that run with one message.
+    calls = []
+
+    def jumping_act(step, lam, ordk, r, a, b, s, _act=_act):
+        calls.append(step)
+        return (10**6, 1, b, s) if step is PSI_INV else _act(step, lam, ordk, r, a, b, s)
+
+    for module in (transforms, sys.modules[__name__]):
+        monkeypatch.setattr(module, "_b_reduced", lambda b, r, ordk: False)
+        monkeypatch.setattr(module, "_act", jumping_act)
+    v = MukaiVector.of(1, 0, 0, 0)
+    message = "reduction of 1,0,0,0 on type 1 did not converge within its budget of 20*r + 100 = 120 rounds"
+    with pytest.raises(ReductionBudgetError) as got:
+        reduce_to_table(1, v)
+    assert str(got.value) == message
+    assert calls == [PSI_INV]  # the loop applies the run itself
+    with pytest.raises(ReductionBudgetError) as ref:
+        _reference_reduce(1, v)
+    assert str(ref.value) == message
+    assert calls == [PSI_INV, PSI_INV] + [PHI_INV] * 119
+    # both stop 119 rounds into the run, the rank still far above 2a
+    assert got.traceback[-1].locals["r"] == ref.traceback[-1].locals["r"] == 10**6 - 119
 
 
 # a fixed example sequence keeps this near 0.3 s: a draw with |a| small
