@@ -58,6 +58,11 @@ CASES = [  # (name, argv); "{out}" is a path in a fresh directory
     # a twist between every two phi_inv steps: 999,999 twists in 1,999,998 steps
     ("reduce 1000000,1,0,999999", ["reduce", "--type", "1", "--vector", "1000000,1,0,999999"]),
     ("reduce 1000000,1,0,999999 --json", ["reduce", "--type", "1", "--vector", "1000000,1,0,999999", "--json"]),
+    # the same run with every twist of its own (a, b), so that the JSON log
+    # shares no twist item: the worst case known
+    ("reduce 1000000,1,0,999999999999", ["reduce", "--type", "1", "--vector", "1000000,1,0,999999999999"]),
+    ("reduce 1000000,1,0,999999999999 --json",
+     ["reduce", "--type", "1", "--vector", "1000000,1,0,999999999999", "--json"]),
     ("oracle cases m=6 bound 80", ["oracle", "cases", "--m", "6", "--target", "0", "--bound", "80", "--json"]),
 ]
 

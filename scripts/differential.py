@@ -43,7 +43,8 @@ command; then 200 `wall slice` calls with vector entries up to about 10^6
 and --emit-samples 1 to 12, half of them on a circle through a rational
 point of the sample scan's box (slice_list).  --walls N compares N walls
 spread evenly over the wall list, every reduction but the long runs and
-every call.
+every call.  Interrupted (Ctrl-C or SIGTERM), the script ends its two
+children before it exits.
 Standard library only.
 """
 
@@ -52,6 +53,7 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import tempfile
@@ -299,6 +301,7 @@ def src_of(path: str) -> str:
 
 
 def main() -> None:
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # so that the finally runs
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--against", required=True, help="the other checkout, or its src directory")
     p.add_argument("--walls", type=int, help="compare this many walls spread over the list (default all)")
@@ -320,14 +323,19 @@ def main() -> None:
         case_file.write_text(json.dumps([walls, reductions, calls + slices]))
         start = time.perf_counter()
         outs = [open(Path(tmp) / f"out{i}", "w+") for i in range(2)]
-        children = [
-            subprocess.Popen(
-                [sys.executable, "-S", "-c", CHILD, src, str(case_file), str(WITNESS_SQUARE), str(ORACLE_SQUARE)],
-                stdout=out, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
-            )
-            for src, out in zip(trees, outs)
-        ]
-        codes = [child.wait() for child in children]
+        children = []
+        try:
+            for src, out in zip(trees, outs):
+                children.append(subprocess.Popen(
+                    [sys.executable, "-S", "-c", CHILD, src, str(case_file), str(WITNESS_SQUARE), str(ORACLE_SQUARE)],
+                    stdout=out, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                ))
+            codes = [child.wait() for child in children]
+        finally:  # interrupted (Ctrl-C, or SIGTERM through the handler above): end the children too
+            for child in children:
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
         seconds = time.perf_counter() - start
         lines = []
         for out in outs:

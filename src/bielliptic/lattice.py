@@ -61,12 +61,6 @@ class MukaiVector(Value):
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.a + other.a, self.b + other.b, self.s + other.s)
 
-    def __sub__(self, other: "MukaiVector") -> "MukaiVector":
-        return MukaiVector(self.r - other.r, self.a - other.a, self.b - other.b, self.s - other.s)
-
-    def __neg__(self) -> "MukaiVector":
-        return MukaiVector(-self.r, -self.a, -self.b, -self.s)
-
     def __rmul__(self, n: int) -> "MukaiVector":
         return MukaiVector(n * self.r, n * self.a, n * self.b, n * self.s)
 
@@ -100,24 +94,6 @@ class MukaiVector(Value):
 def mukai_pairing(v: MukaiVector, w: MukaiVector) -> int:
     """<v, w> = c1(v).c1(w) - r(v) s(w) - r(w) s(v)."""
     return v.a * w.b + w.a * v.b - v.r * w.s - w.r * v.s
-
-
-def plane_key(v: MukaiVector, w: MukaiVector) -> tuple[int, ...] | None:
-    """The primitive Pluecker vector of span{v, w}: the six 2x2 minors in
-    (r, a, b, s) column-pair order over their gcd, first nonzero entry
-    positive.  It names the plane; None when v, w are collinear."""
-    r, a, b, s = v.r, v.a, v.b, v.s
-    r2, a2, b2, s2 = w.r, w.a, w.b, w.s
-    minors = (
-        r * a2 - a * r2, r * b2 - b * r2, r * s2 - s * r2,
-        a * b2 - b * a2, a * s2 - s * a2, b * s2 - s * b2,
-    )
-    g = gcd(*minors)
-    if g == 0:
-        return None
-    if next(m for m in minors if m) < 0:
-        g = -g
-    return tuple(m // g for m in minors)
 
 
 def square(v: MukaiVector) -> int:

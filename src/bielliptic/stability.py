@@ -12,7 +12,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from bielliptic.errors import DegenerateChargeError, PreconditionError
-from bielliptic.lattice import DivisorClass, MukaiVector, plane_key
+from bielliptic.lattice import DivisorClass, MukaiVector
+from bielliptic.linalg import saturation_basis
 from bielliptic.surfaces import surface_invariants
 from bielliptic.values import Value
 
@@ -104,7 +105,7 @@ def wall_in_slice(t: int, v: MukaiVector, w: MukaiVector, H0: DivisorClass) -> W
     surface_invariants(t)
     if not H0.is_ample():
         raise PreconditionError(f"H0 must be ample, got ({H0.a},{H0.b})")
-    if plane_key(v, w) is None:
+    if len(saturation_basis([v.as_tuple(), w.as_tuple()])) < 2:
         raise PreconditionError("v and w are collinear; the wall locus is degenerate")
     P = H0.self_int()
     dv = H0.a * v.b + v.a * H0.b

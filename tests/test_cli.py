@@ -19,11 +19,11 @@ import hypothesis.strategies as st
 from bielliptic import cli, transforms
 from bielliptic.cli import run_command
 from bielliptic.errors import PreconditionError
-from bielliptic.lattice import MukaiVector, plane_key, square
+from bielliptic.lattice import MukaiVector, square
 from bielliptic.transforms import TransformLog
 from bielliptic.walls import classify_wall, saturate_lattice
 
-from conftest import FIXTURES, primitive_vectors, saturation_key
+from conftest import FIXTURES, plane_key, primitive_vectors, saturation_key
 
 
 def run(capsys, *argv):
@@ -209,6 +209,13 @@ class TestWall:
         v = f"1,0,0,{-cli.MAX_WALL_SQUARE // 2}"
         with pytest.raises(Started):
             run_command(["wall", "classify", "--type", "1", "--v", v, "--w", "0,0,0,1"])
+
+    def test_slice_rejects_collinear_vectors(self, capsys):
+        code, out, err = run(
+            capsys, "wall", "slice", "--type", "1", "--v", "1,2,0,-1", "--w", "-3,-6,0,3", "--H0", "1,1",
+        )
+        assert (code, out) == (3, "")
+        assert err == "precondition violated: v and w are collinear; the wall locus is degenerate\n"  # no traceback
 
     def test_slice_rejects_negative_samples(self, capsys):
         code, out, err = run(

@@ -1,19 +1,67 @@
 """Smoke tests of scripts/differential.py on a small part of its wall list
 and all of its reductions and CLI calls."""
 
+import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def differential(against, walls=200):
-    return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "differential.py"), "--against", str(against), "--walls", str(walls)],
-        capture_output=True, text=True, timeout=60,
-    )
+def differential(against, walls=200, timeout=60):
+    """Run the script (every list, long runs included, when walls is None).
+    It runs in a session of its own, so that a timeout kills its children
+    with it."""
+    argv = [sys.executable, str(ROOT / "scripts" / "differential.py"), "--against", str(against)]
+    if walls is not None:
+        argv += ["--walls", str(walls)]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as run:
+        try:
+            out, err = run.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(argv, run.returncode, out, err)
+
+
+def live_members(pgid):
+    """Pids of the processes of group pgid that have not exited (Linux)."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process exited while the scan ran
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(stat.parent.name))
+    return members
+
+
+def test_a_timed_out_run_leaves_no_process(monkeypatch):
+    # without --walls the lists hold the long reductions, minutes a tree,
+    # so both children are running when the timeout strikes
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    with pytest.raises(subprocess.TimeoutExpired):
+        differential(ROOT / "src", walls=None, timeout=2)
+    pgid = started[0].pid
+    deadline = time.monotonic() + 10
+    while live_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert live_members(pgid) == []
 
 
 def test_self_comparison_finds_no_difference():

@@ -15,7 +15,6 @@ from bielliptic.lattice import (
     MukaiVector,
     l_invariant,
     mukai_pairing,
-    plane_key,
     primitive_isotropic_in_series,
     pullback_canonical,
     square,
@@ -23,7 +22,7 @@ from bielliptic.lattice import (
 from bielliptic.linalg import saturation_basis
 from bielliptic.surfaces import all_types, surface_invariants
 
-from conftest import mukai_vectors, primitive_vectors, surface_types
+from conftest import mukai_vectors, plane_key, primitive_vectors, surface_types
 
 
 class TestPairing:
@@ -63,8 +62,6 @@ class TestFlatValue:
     def test_arithmetic_and_text(self):
         v, w = MukaiVector(2, -1, 3, 5), MukaiVector(1, 1, 0, -2)
         assert v + w == MukaiVector(3, 0, 3, 3)
-        assert v - w == MukaiVector(1, -2, 3, 7)
-        assert -v == MukaiVector(-2, 1, -3, -5)
         assert 3 * w == MukaiVector(3, 3, 0, -6)
         assert MukaiVector.parse(v.text()) == v
         assert repr(v) == "MukaiVector(2, -1, 3, 5)"
@@ -81,12 +78,19 @@ class TestFlatValue:
         half = DivisorClass(Fraction(1, 2), Fraction(1, 3))
         assert half.self_int() == Fraction(1, 3) and half.is_ample()
 
+    # collinearity is decided as saturate_lattice and wall_in_slice decide it:
+    # saturation_basis returns fewer than two rows; plane_key (conftest) is
+    # the tests' independent name for a plane
     @given(mukai_vectors(), st.integers(-5, 5))
     def test_collinear_with_multiples(self, v, n):
-        assert plane_key(v, n * v) is None
-        assert plane_key(v, MukaiVector(0, 0, 0, 0)) is None
+        zero = MukaiVector(0, 0, 0, 0)
+        for x, y in ((v, n * v), (v, zero), (zero, v)):
+            assert len(saturation_basis([x.as_tuple(), y.as_tuple()])) < 2
+            assert plane_key(x, y) is None
 
     def test_independent_vectors_are_not_collinear(self):
+        for v, w in (((1, 0, 0, -2), (0, 0, 0, 1)), ((1, 2, 0, 0), (1, 0, 2, 0))):
+            assert len(saturation_basis([v, w])) == 2
         assert plane_key(MukaiVector(1, 0, 0, -2), MukaiVector(0, 0, 0, 1)) == (0, 0, 1, 0, 0, 0)
         assert plane_key(MukaiVector(1, 2, 0, 0), MukaiVector(1, 0, 2, 0)) == (1, -1, 0, -2, 0, 0)
 

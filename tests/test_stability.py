@@ -20,7 +20,7 @@ from bielliptic.stability import (
 )
 from bielliptic.values import Value
 
-from conftest import mukai_vectors, surface_types
+from conftest import mukai_vectors, plane_key, surface_types
 
 rationals = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=8
@@ -80,10 +80,14 @@ class TestWallInSlice:
             zw = slice_charge(1, MukaiVector.of(0, 0, 0, -1), DivisorClass(1, 1), x, y)
             assert (zw * zv.conj()).im == 0
 
-    def test_collinear_rejected(self):
-        v = MukaiVector.of(1, 2, 0, -1)
-        with pytest.raises(PreconditionError):
-            wall_in_slice(1, v, 3 * v, DivisorClass(1, 1))
+    @given(surface_types, mukai_vectors(), mukai_vectors(), st.integers(-5, 5))
+    def test_collinear_rejected(self, t, v, w, n):
+        H0, zero = DivisorClass(1, 1), MukaiVector(0, 0, 0, 0)
+        for x, y in ((v, n * v), (v, zero), (zero, v)):
+            with pytest.raises(PreconditionError, match="^v and w are collinear; the wall locus is degenerate$"):
+                wall_in_slice(t, x, y, H0)
+        if plane_key(v, w) is not None:  # not collinear
+            wall_in_slice(t, v, w, H0)
 
     def test_nonample_rejected(self):
         with pytest.raises(PreconditionError):

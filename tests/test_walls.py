@@ -17,7 +17,6 @@ from bielliptic.lattice import (
     l_invariant,
     l_invariant_any,
     mukai_pairing,
-    plane_key,
     primitive_isotropic_in_series,
     square,
 )
@@ -55,7 +54,7 @@ from bielliptic.walls import (
     wall_plane,
 )
 
-from conftest import basis_key, mukai_vectors, saturation_key, surface_types
+from conftest import basis_key, mukai_vectors, plane_key, saturation_key, surface_types
 
 
 def H_of(t, v, w):
